@@ -104,12 +104,10 @@ commImage(bool with_soft_cache, std::shared_ptr<CommProbe> probe)
             }
         }(ctx, probe));
         // Doorbell: the Fig. 10 "eFPGA pull + store back" round trip.
-        ctx.regs.setNormalHandlers(
-            4,
-            [ctx](Future<std::uint64_t>::Setter done) mutable {
+        ctx.regs.setReadHandler(
+            4, [ctx](FpgaRegFile::ReadReply done) {
                 spawn([](FpgaContext ctx,
-                         Future<std::uint64_t>::Setter done)
-                          -> CoTask<void> {
+                         FpgaRegFile::ReadReply done) -> CoTask<void> {
                     Addr src = ctx.regs.readPlain(2);
                     Addr dst = ctx.regs.readPlain(3);
                     std::uint64_t n = ctx.regs.readPlain(5);
@@ -131,10 +129,9 @@ commImage(bool with_soft_cache, std::shared_ptr<CommProbe> probe)
                                                    data[i / 2], 8);
                     }
                     co_await ctx.mem[0]->drainWrites();
-                    done.set(n);
-                }(ctx, done));
-            },
-            nullptr);
+                    done(n);
+                }(ctx, std::move(done)));
+            });
     };
     return img;
 }

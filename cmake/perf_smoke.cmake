@@ -6,10 +6,18 @@
 # so the trajectory can be compared across commits, not a pass/fail
 # threshold.
 #
-# Expected -D variables: DUET_SIM (binary path), OUT (report path).
+# With REF set, the report must also match that committed reference in
+# every scenario's `events` and `sim_ticks` (tools/bench_diff.py exit
+# 0): the determinism gate that any change to event semantics trips.
+#
+# Expected -D variables: DUET_SIM (binary path), OUT (report path);
+# optional REF (reference report) with PYTHON3 (interpreter path).
 
 if(NOT DUET_SIM OR NOT OUT)
   message(FATAL_ERROR "perf_smoke: pass -DDUET_SIM=<duet_sim> -DOUT=<path>")
+endif()
+if(REF AND NOT PYTHON3)
+  message(FATAL_ERROR "perf_smoke: -DREF= needs -DPYTHON3=<python3>")
 endif()
 
 execute_process(COMMAND ${DUET_SIM} --bench --bench-out ${OUT}
@@ -29,6 +37,16 @@ endif()
 if(NOT report MATCHES "\"all_correct\": true")
   message(FATAL_ERROR "perf_smoke: a scenario failed or was "
                       "non-deterministic; see ${OUT}")
+endif()
+if(REF)
+  execute_process(
+    COMMAND ${PYTHON3} ${CMAKE_CURRENT_LIST_DIR}/../tools/bench_diff.py
+            ${REF} ${OUT}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "perf_smoke: ${OUT} drifted from ${REF} "
+                        "(tools/bench_diff.py exited with ${rc})")
+  endif()
 endif()
 string(REGEX MATCH "\"scenarios\": ([0-9]+)" _scen "${report}")
 if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 EQUAL 0)

@@ -108,9 +108,8 @@ main()
         img.resources = FabricResources{100, 100, 0, 0};
         img.regLayout.kinds = {RegKind::Normal};
         img.start = [](FpgaContext &ctx) {
-            ctx.regs.setNormalHandlers(
-                0, [](Future<std::uint64_t>::Setter) { /* never */ },
-                nullptr);
+            ctx.regs.setReadHandler(
+                0, [](FpgaRegFile::ReadReply) { /* never replies */ });
         };
         sys.installAccel(img);
         sys.core(0).start([&sys](Core &c) -> CoTask<void> {

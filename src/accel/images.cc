@@ -85,12 +85,10 @@ scratchpadImage(unsigned num_hubs, bool with_soft_cache)
         // Doorbell (normal reg 4): a read triggers "pull count QW from
         // src buffer into the scratchpad, store back to dst buffer", then
         // acknowledges the read — the paper's eFPGA-pull protocol.
-        ctx.regs.setNormalHandlers(
-            4,
-            [ctx](Future<std::uint64_t>::Setter done) mutable {
+        ctx.regs.setReadHandler(
+            4, [ctx](FpgaRegFile::ReadReply done) {
                 spawn([](FpgaContext ctx,
-                         Future<std::uint64_t>::Setter done)
-                          -> CoTask<void> {
+                         FpgaRegFile::ReadReply done) -> CoTask<void> {
                     Addr src = ctx.regs.readPlain(2);
                     Addr dst = ctx.regs.readPlain(3);
                     unsigned count = static_cast<unsigned>(
@@ -104,10 +102,9 @@ scratchpadImage(unsigned num_hubs, bool with_soft_cache)
                                            data[i]);
                         co_await streamStore(*ctx.mem[0], dst, data);
                     }
-                    done.set(count);
-                }(ctx, done));
-            },
-            nullptr);
+                    done(count);
+                }(ctx, std::move(done)));
+            });
     };
     return img;
 }

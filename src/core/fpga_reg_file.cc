@@ -21,7 +21,9 @@ FpgaRegFile::reset()
         r.value = 0;
         r.fifo.clear();
         r.tokens = 0;
-        // Parked operations are dropped; the Control Hub times them out.
+        // Parked operations are dropped: a parked pop is never resumed
+        // (its frame is reclaimed with the accelerator's threads), and
+        // the Control Hub times out a parked read.
         r.poppers.clear();
         r.parkedReads.clear();
     }
@@ -54,20 +56,21 @@ FpgaRegFile::pumpOut()
 }
 
 void
+FpgaRegFile::ReadReply::operator()(std::uint64_t v)
+{
+    simAssert(rf_ != nullptr, "ReadReply called twice or after a move");
+    CtrlMsg m;
+    m.kind = CtrlMsgKind::NormalReadData;
+    m.txnId = txn_;
+    m.data = v;
+    std::exchange(rf_, nullptr)->send(m);
+}
+
+void
 FpgaRegFile::serveNormalRead(Reg &r, std::uint32_t txn)
 {
     if (r.readHandler) {
-        Future<std::uint64_t> fut;
-        r.readHandler(fut.setter());
-        spawn([](FpgaRegFile *self, Future<std::uint64_t> fut,
-                 std::uint32_t txn) -> CoTask<void> {
-            std::uint64_t v = co_await fut;
-            CtrlMsg m;
-            m.kind = CtrlMsgKind::NormalReadData;
-            m.txnId = txn;
-            m.data = v;
-            self->send(m);
-        }(this, fut, txn));
+        r.readHandler(ReadReply(this, txn));
         return;
     }
     switch (r.kind) {
@@ -117,28 +120,15 @@ FpgaRegFile::serveNormalRead(Reg &r, std::uint32_t txn)
 void
 FpgaRegFile::serveNormalWrite(Reg &r, std::uint64_t val, std::uint32_t txn)
 {
-    if (r.writeHandler) {
-        Future<void> fut;
-        r.writeHandler(val, fut.setter());
-        spawn([](FpgaRegFile *self, Future<void> fut,
-                 std::uint32_t txn) -> CoTask<void> {
-            co_await fut;
-            CtrlMsg m;
-            m.kind = CtrlMsgKind::NormalWriteAck;
-            m.txnId = txn;
-            self->send(m);
-        }(this, fut, txn));
-        return;
-    }
     if (r.kind == RegKind::FpgaFifo) {
         // Downgraded FPGA-bound FIFO: data lands in the slow-domain queue.
         r.fifo.push_back(val);
         if (!r.poppers.empty()) {
-            auto popper = r.poppers.front();
+            PopOp *popper = r.poppers.front();
             r.poppers.pop_front();
             std::uint64_t v = r.fifo.front();
             r.fifo.pop_front();
-            popper.set(v);
+            popper->fulfill(v);
         }
     } else {
         r.value = val;
@@ -180,11 +170,11 @@ FpgaRegFile::receive(CtrlMsg &&msg)
       case CtrlMsgKind::FifoData: {
         r.fifo.push_back(msg.data);
         if (!r.poppers.empty()) {
-            auto popper = r.poppers.front();
+            PopOp *popper = r.poppers.front();
             r.poppers.pop_front();
             std::uint64_t v = r.fifo.front();
             r.fifo.pop_front();
-            popper.set(v);
+            popper->fulfill(v);
             // Shadowed mode: return the credit so the Control Hub can
             // accept another CPU write.
             CtrlMsg credit;
@@ -199,28 +189,24 @@ FpgaRegFile::receive(CtrlMsg &&msg)
     }
 }
 
-Future<std::uint64_t>
-FpgaRegFile::pop(unsigned reg)
+FpgaRegFile::PopOp::PopOp(FpgaRegFile &rf, unsigned reg)
 {
-    simAssert(reg < regs_.size(), name_ + ": pop out of range");
-    Reg &r = regs_[reg];
-    Future<std::uint64_t> fut;
-    if (!r.fifo.empty()) {
-        std::uint64_t v = r.fifo.front();
-        r.fifo.pop_front();
-        if (shadowed_ && r.kind == RegKind::FpgaFifo) {
-            CtrlMsg credit;
-            credit.kind = CtrlMsgKind::FifoCredit;
-            credit.reg = static_cast<std::uint16_t>(reg);
-            send(credit);
-        }
-        // One slow cycle to dequeue.
-        auto set = fut.setter();
-        clk_.scheduleAtEdge(1, [set, v] { set.set(v); });
-        return fut;
+    simAssert(reg < rf.regs_.size(), rf.name_ + ": pop out of range");
+    Reg &r = rf.regs_[reg];
+    if (r.fifo.empty()) {
+        r.poppers.push_back(this);
+        return;
     }
-    r.poppers.push_back(fut.setter());
-    return fut;
+    std::uint64_t v = r.fifo.front();
+    r.fifo.pop_front();
+    if (rf.shadowed_ && r.kind == RegKind::FpgaFifo) {
+        CtrlMsg credit;
+        credit.kind = CtrlMsgKind::FifoCredit;
+        credit.reg = static_cast<std::uint16_t>(reg);
+        rf.send(credit);
+    }
+    // One slow cycle to dequeue.
+    rf.clk_.scheduleAtEdge(1, [this, v] { fulfill(v); });
 }
 
 void

@@ -5,9 +5,9 @@
  * Lives in the slow clock domain. Holds the soft registers the accelerator
  * actually interacts with: FPGA-bound FIFO payloads land here after the
  * CDC; CPU-bound pushes and plain syncs leave from here. Accelerators may
- * also install custom handlers on Normal registers (e.g. the CPU/eFPGA
- * barrier of Sec. II-F, where the eFPGA acknowledges a read when it
- * reaches the barrier).
+ * also install a custom read handler on a Normal register (e.g. the
+ * CPU/eFPGA barrier of Sec. II-F, where the eFPGA acknowledges a read
+ * when it reaches the barrier).
  *
  * When the Control Hub runs in FPSoC mode every register is downgraded to
  * Normal: all accesses are forwarded here and served at the slow clock,
@@ -19,6 +19,7 @@
 
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/ctrl_msg.hh"
@@ -48,12 +49,49 @@ struct RegLayout
 class FpgaRegFile
 {
   public:
-    /** Custom read handler: produce the value (may complete later). */
-    using ReadHandler =
-        std::function<void(Future<std::uint64_t>::Setter)>;
-    /** Custom write handler: consume the value, then signal done. */
-    using WriteHandler =
-        std::function<void(std::uint64_t, Future<void>::Setter)>;
+    /**
+     * The one-shot answer to a forwarded Normal-register read. Calling
+     * it sends the NormalReadData reply at once; a handler that finishes
+     * later (the Sec. II-F barrier) moves it into whatever completes the
+     * read. Move-only: a second call, or a call on a moved-from reply,
+     * traps. A reply dropped uncalled leaves the read to the Control
+     * Hub's timeout (the unresponsive-accelerator model).
+     */
+    class ReadReply
+    {
+      public:
+        // The move constructor leaves the source empty, and (being
+        // user-declared) leaves the type without copies or assignment.
+        ReadReply(ReadReply &&other) noexcept
+            : rf_(std::exchange(other.rf_, nullptr)), txn_(other.txn_)
+        {}
+
+        /** Reply to the read with @p v. */
+        void operator()(std::uint64_t v);
+
+      private:
+        friend class FpgaRegFile;
+        ReadReply(FpgaRegFile *rf, std::uint32_t txn) : rf_(rf), txn_(txn) {}
+
+        FpgaRegFile *rf_; ///< null once called or moved from
+        std::uint32_t txn_;
+    };
+
+    /** Custom read handler: answer through the reply, now or later. */
+    using ReadHandler = std::function<void(ReadReply)>;
+
+    /**
+     * A blocking pop from an FPGA-bound FIFO register, resolving to the
+     * dequeued value. An intrusive awaitable like the memory ops: it
+     * lives in the awaiting frame, and a pop that finds the FIFO empty
+     * parks in the register by address until data arrives (or a reset
+     * drops it).
+     */
+    class [[nodiscard]] PopOp : public PendingValue<std::uint64_t>
+    {
+      public:
+        PopOp(FpgaRegFile &rf, unsigned reg);
+    };
 
     FpgaRegFile(ClockDomain &fpga_clk, std::string name,
                 const RegLayout &layout);
@@ -71,7 +109,7 @@ class FpgaRegFile
     // --------------------------------------------------------------
 
     /** Pop one entry from an FPGA-bound FIFO register (blocking). */
-    Future<std::uint64_t> pop(unsigned reg);
+    PopOp pop(unsigned reg) { return PopOp(*this, reg); }
 
     /** True if an FPGA-bound FIFO register has data (peek, no cycle). */
     bool hasData(unsigned reg) const { return !regs_[reg].fifo.empty(); }
@@ -88,12 +126,11 @@ class FpgaRegFile
     /** Write a plain shadowed register and actively sync it back. */
     void writePlain(unsigned reg, std::uint64_t v);
 
-    /** Install custom Normal-register semantics. */
+    /** Install a custom read handler on a Normal register. */
     void
-    setNormalHandlers(unsigned reg, ReadHandler rd, WriteHandler wr)
+    setReadHandler(unsigned reg, ReadHandler rd)
     {
         regs_[reg].readHandler = std::move(rd);
-        regs_[reg].writeHandler = std::move(wr);
     }
 
     /** Reset all register state (accelerator reset). */
@@ -112,10 +149,9 @@ class FpgaRegFile
         std::uint64_t value = 0;
         std::deque<std::uint64_t> fifo; ///< FPGA-bound data / CpuFifo data
         std::uint64_t tokens = 0;
-        std::deque<Future<std::uint64_t>::Setter> poppers; ///< parked pops
+        std::deque<PopOp *> poppers;           ///< parked pops
         std::deque<std::uint32_t> parkedReads; ///< NormalRead txns waiting
         ReadHandler readHandler;
-        WriteHandler writeHandler;
     };
 
     void send(CtrlMsg msg);

@@ -10,7 +10,8 @@
  * halt_on_error: a report is a test failure, never a warning that
  * scrolls by. detect_leaks stays on for the parent; forked sweep/serve
  * workers _exit() and therefore never run the leak checker, which keeps
- * the fork-per-job ProcessPool ASan-compatible without suppressions.
+ * the resident-worker ResidentPool ASan-compatible without
+ * suppressions.
  * The ctest layer exports the same values via ENVIRONMENT properties,
  * so `ASAN_OPTIONS=... ctest` overrides still win.
  */

@@ -555,9 +555,9 @@ runSweep(const std::vector<SweepScenario> &scenarios,
         return rows;
     std::vector<char> delivered(scenarios.size(), 0);
 
-    ExecutorConfig ecfg;
-    ecfg.jobs = opts.jobs;
-    const std::size_t slots = effectiveJobCount(ecfg, scenarios.size());
+    // Workers fork lazily (one per request that finds none idle), so a
+    // batch smaller than the pool forks only as many as it needs.
+    const std::size_t slots = opts.jobs != 0 ? opts.jobs : defaultJobCount();
 
     std::size_t done = 0, failed = 0;
     std::size_t lastProgressLen = 0;

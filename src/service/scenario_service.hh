@@ -194,10 +194,10 @@ class ScenarioService
      */
     void reject(const std::string &id, const std::string &error);
 
-    /** Move scheduling forward; see ProcessPool::pump(). */
+    /** Move scheduling forward; see ResidentPool::pump(). */
     void pump(int timeout_ms);
 
-    /** Event-loop integration; see ProcessPool. */
+    /** Event-loop integration; see ResidentPool::addReadFds(). */
     void addReadFds(std::vector<pollfd> &fds) const;
     int timeoutHintMs() const;
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * Size-bucketed frame arena for coroutine frames and Future states.
+ * Size-bucketed frame arena for coroutine frames.
  *
- * Every simulated memory access spawns short-lived coroutine subtask
- * frames and one-shot Future rendezvous states; with the default global
- * allocator each of those is a malloc/free round trip, and together they
- * dominate the scenario hot path. FrameArena recycles them instead:
+ * Simulated software and accelerator threads spawn short-lived
+ * coroutine subtask frames; with the default global allocator each of
+ * those is a malloc/free round trip on the scenario hot path.
+ * FrameArena recycles them instead:
  *
  *  - a System owns one FrameArena and makes it "current" for its
  *    lifetime (ArenaScope); promise operator new/delete on the coroutine
@@ -18,7 +18,7 @@
  *    warm-up path is one pointer bump, not a malloc;
  *  - every block carries a 16-byte header naming its owning arena, so a
  *    block allocated with no current arena (unit tests build bare
- *    CoTasks/Futures) silently takes the global-new path, and a block is
+ *    CoTasks) silently takes the global-new path, and a block is
  *    always returned to the arena that carved it even if a different
  *    arena is current at free time.
  *
@@ -39,7 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "sim/check.hh"
 
@@ -120,71 +119,6 @@ class ArenaScope
   private:
     FrameArena::Ctl *prev_;
 };
-
-/**
- * Minimal intrusive refcounted pointer for single-threaded simulator
- * state. S must expose a `std::uint32_t refs` field initialized to 1.
- * Non-atomic on purpose: the simulator core is single-threaded per
- * process (the sweep executor isolates via fork), and shared_ptr's
- * atomic ops plus its separate control block were measurable on the
- * Future hot path.
- */
-template <typename S>
-class RcPtr
-{
-  public:
-    RcPtr() = default;
-
-    /// Adopt @p p (its refs must already count this reference).
-    explicit RcPtr(S *p) noexcept : p_(p) {}
-
-    RcPtr(const RcPtr &o) noexcept : p_(o.p_)
-    {
-        if (p_)
-            ++p_->refs;
-    }
-
-    RcPtr(RcPtr &&o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
-
-    RcPtr &
-    operator=(const RcPtr &o) noexcept
-    {
-        RcPtr(o).swap(*this);
-        return *this;
-    }
-
-    RcPtr &
-    operator=(RcPtr &&o) noexcept
-    {
-        RcPtr(std::move(o)).swap(*this);
-        return *this;
-    }
-
-    ~RcPtr()
-    {
-        if (p_ && --p_->refs == 0)
-            delete p_;
-    }
-
-    void swap(RcPtr &o) noexcept { std::swap(p_, o.p_); }
-
-    S *operator->() const noexcept { return p_; }
-    S &operator*() const noexcept { return *p_; }
-    S *get() const noexcept { return p_; }
-    explicit operator bool() const noexcept { return p_ != nullptr; }
-    bool operator==(std::nullptr_t) const noexcept { return p_ == nullptr; }
-
-  private:
-    S *p_ = nullptr;
-};
-
-/** Construct an S (refs starts at 1) and wrap it in an RcPtr. */
-template <typename S, typename... Args>
-RcPtr<S>
-makeRc(Args &&...args)
-{
-    return RcPtr<S>(new S(std::forward<Args>(args)...));
-}
 
 } // namespace duet
 

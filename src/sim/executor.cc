@@ -23,13 +23,13 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-// Exit code a worker uses when the job closure let an exception escape.
-// High enough to stay clear of the small exit codes jobs might produce
-// through libraries calling exit() themselves.
+// Exit code a worker uses when the service function let an exception
+// escape. High enough to stay clear of the small exit codes a service
+// might produce through libraries calling exit() themselves.
 constexpr int kUncaughtExitCode = 125;
 
-// A frame past this is a serialization bug, not a result; refusing it
-// bounds parent memory against a runaway worker.
+// A frame past this is a serialization bug, not a request or result;
+// refusing it bounds memory on both sides against a runaway peer.
 constexpr std::uint32_t kMaxPayloadBytes = 256u << 20;
 
 bool
@@ -73,29 +73,6 @@ readAll(int fd, void *data, std::size_t n, bool &sawEof)
     return true;
 }
 
-/** Worker body: run the job, ship the frame, exit without running the
- *  parent's atexit handlers (_exit, not exit). */
-[[noreturn]] void
-workerMain(const Job &job, int fd)
-{
-    std::string payload;
-    try {
-        payload = job();
-    } catch (...) {
-        _exit(kUncaughtExitCode);
-    }
-    if (payload.size() > kMaxPayloadBytes)
-        _exit(kUncaughtExitCode);
-    // The header below truncates to 32 bits; the cap above is the proof
-    // it fits, and this pins that if the cap ever moves past 4 GiB.
-    static_assert(kMaxPayloadBytes <= ~std::uint32_t{0},
-                  "frame header is 32 bits");
-    const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-    const bool ok = writeAll(fd, &len, sizeof(len)) &&
-                    writeAll(fd, payload.data(), payload.size());
-    _exit(ok ? 0 : kUncaughtExitCode);
-}
-
 /** Stable signal names: strsignal() is locale-dependent, and these
  *  strings end up in result rows that must not vary run to run. */
 std::string
@@ -120,450 +97,6 @@ describeSignal(int sig)
         return "signal " + std::to_string(sig);
     }
 }
-
-/** True when @p buf holds exactly one complete frame; the payload lands
- *  in @p payload. Otherwise @p err describes what is wrong. */
-bool
-frameComplete(const std::string &buf, std::string &payload, std::string &err)
-{
-    std::uint32_t len = 0;
-    if (buf.size() < sizeof(len)) {
-        err = "worker produced a truncated result frame (" +
-              std::to_string(buf.size()) + " of 4 header bytes)";
-        return false;
-    }
-    std::memcpy(&len, buf.data(), sizeof(len));
-    if (len > kMaxPayloadBytes) {
-        err = "worker produced an oversized result frame";
-        return false;
-    }
-    if (buf.size() != sizeof(len) + len) {
-        err = "worker result frame is " + std::to_string(buf.size()) +
-              " bytes, header promised " +
-              std::to_string(sizeof(len) + len);
-        return false;
-    }
-    payload.assign(buf, sizeof(len), len);
-    return true;
-}
-
-/** One in-flight worker process. */
-struct Worker
-{
-    pid_t pid = -1;
-    int fd = -1; ///< parent's (nonblocking) read end of the result pipe
-    std::string buf; ///< frame bytes received so far
-    Clock::time_point deadline{};
-    bool hasDeadline = false;
-    bool timedOut = false; ///< parent sent SIGKILL at the deadline
-    bool done = false;     ///< EOF seen, process reaped, result final
-    JobResult result;
-    ProcessPool::Completion completion;
-};
-
-/** EOF on the pipe: reap the worker and classify the outcome. */
-void
-finishWorker(Worker &w)
-{
-    DUET_ASSERT(!w.done, "worker finalized twice");
-    DUET_DCHECK(w.fd >= 0, "finishWorker on a closed pipe");
-    ::close(w.fd);
-    w.fd = -1;
-    int st = 0;
-    pid_t r;
-    do {
-        r = ::waitpid(w.pid, &st, 0);
-    } while (r < 0 && errno == EINTR);
-
-    JobResult &res = w.result;
-    std::string payload, frame_err;
-    const bool frame_ok = frameComplete(w.buf, payload, frame_err);
-    if (w.timedOut) {
-        // Diagnostic was filled when the parent sent SIGKILL; a frame
-        // that raced in before the kill is discarded (the job blew its
-        // budget either way).
-        res.status = JobStatus::TimedOut;
-    } else if (r >= 0 && WIFSIGNALED(st)) {
-        res.status = JobStatus::Crashed;
-        res.diagnostic = "worker killed by " + describeSignal(WTERMSIG(st));
-    } else if (r >= 0 && WIFEXITED(st) &&
-               WEXITSTATUS(st) == kUncaughtExitCode) {
-        res.status = JobStatus::Crashed;
-        res.diagnostic = "worker raised an uncaught exception";
-    } else if (r >= 0 && WIFEXITED(st) && WEXITSTATUS(st) != 0) {
-        res.status = JobStatus::Crashed;
-        res.diagnostic =
-            "worker exited with status " + std::to_string(WEXITSTATUS(st));
-    } else if (!frame_ok) {
-        res.status = JobStatus::Crashed;
-        res.diagnostic = frame_err;
-    } else {
-        res.status = JobStatus::Ok;
-        res.payload = std::move(payload);
-    }
-    w.buf.clear();
-    w.done = true;
-}
-
-} // namespace
-
-unsigned
-defaultJobCount()
-{
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : n;
-}
-
-std::size_t
-effectiveJobCount(const ExecutorConfig &cfg, std::size_t njobs)
-{
-    return std::max<std::size_t>(
-        1, std::min<std::size_t>(
-               cfg.jobs != 0 ? cfg.jobs : defaultJobCount(), njobs));
-}
-
-// ---------------------------------------------------------------------
-// ProcessPool
-// ---------------------------------------------------------------------
-
-struct ProcessPool::Impl
-{
-    struct PendingJob
-    {
-        Job job;
-        Completion done;
-    };
-
-    ExecutorConfig cfg;
-    std::size_t slots = 1;
-    std::vector<Worker> active;
-    std::deque<PendingJob> pending;
-    bool abortedFlag = false;
-
-    std::size_t
-    inFlight() const
-    {
-        return active.size() + pending.size();
-    }
-
-    // Resource exhaustion (fd table, process table) is transient while
-    // workers are still running: draining one frees what the spawn
-    // needs, so defer instead of failing the job.
-    bool
-    transient(int e) const
-    {
-        return !active.empty() &&
-               (e == EMFILE || e == ENFILE || e == EAGAIN);
-    }
-
-    /** Start queued jobs while worker slots are free. A spawn that
-     *  defers (transient resource exhaustion) leaves the job queued; a
-     *  hard failure delivers a failed result on the spot. */
-    std::size_t
-    spawnPending()
-    {
-        std::size_t delivered = 0;
-        while (!pending.empty() && active.size() < slots) {
-            PendingJob next = std::move(pending.front());
-            pending.pop_front();
-
-            int fds[2];
-            if (::pipe(fds) != 0) {
-                const int e = errno;
-                if (transient(e)) {
-                    pending.push_front(std::move(next));
-                    break;
-                }
-                JobResult res;
-                res.diagnostic =
-                    "pipe failed: " + std::string(std::strerror(e));
-                ++delivered;
-                if (next.done)
-                    next.done(std::move(res));
-                continue;
-            }
-            // The child would otherwise re-flush any bytes sitting in
-            // the parent's stdio buffers on its own exit path.
-            std::fflush(stdout);
-            std::fflush(stderr);
-            const pid_t pid = ::fork();
-            if (pid < 0) {
-                const int e = errno;
-                ::close(fds[0]);
-                ::close(fds[1]);
-                if (transient(e)) {
-                    pending.push_front(std::move(next));
-                    break;
-                }
-                JobResult res;
-                res.diagnostic =
-                    "fork failed: " + std::string(std::strerror(e));
-                ++delivered;
-                if (next.done)
-                    next.done(std::move(res));
-                continue;
-            }
-            if (pid == 0) {
-                ::close(fds[0]);
-                workerMain(next.job, fds[1]); // _exits, never returns
-            }
-            DUET_DCHECK(active.size() < slots,
-                        "worker spawned past the slot budget");
-            ::close(fds[1]);
-            // Nonblocking reads: one chatty worker must not stall the
-            // drain loop (and with it, other workers' deadlines).
-            ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-            Worker w;
-            w.pid = pid;
-            w.fd = fds[0];
-            w.completion = std::move(next.done);
-            if (cfg.timeoutSeconds > 0) {
-                w.deadline = Clock::now() +
-                             std::chrono::seconds(cfg.timeoutSeconds);
-                w.hasDeadline = true;
-            }
-            active.push_back(std::move(w));
-        }
-        return delivered;
-    }
-
-    int
-    deadlineHintMs() const
-    {
-        int hint = -1;
-        const auto now = Clock::now();
-        for (const Worker &w : active) {
-            if (!w.hasDeadline || w.timedOut)
-                continue;
-            const auto left =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    w.deadline - now)
-                    .count();
-            const int ms =
-                static_cast<int>(std::clamp<long long>(left, 0, 60'000));
-            hint = hint < 0 ? ms : std::min(hint, ms);
-        }
-        return hint;
-    }
-
-    /** Unrecoverable scheduler error: SIGKILL and reap every worker,
-     *  fail everything in flight, and refuse further submissions. */
-    std::size_t
-    abort()
-    {
-        abortedFlag = true;
-        std::size_t delivered = 0;
-        std::vector<Worker> doomed;
-        doomed.swap(active);
-        std::deque<PendingJob> queued;
-        queued.swap(pending);
-        for (Worker &w : doomed) {
-            if (w.pid > 0 && !w.done) {
-                ::kill(w.pid, SIGKILL);
-                int st = 0;
-                pid_t r;
-                do {
-                    r = ::waitpid(w.pid, &st, 0);
-                } while (r < 0 && errno == EINTR);
-            }
-            if (w.fd >= 0)
-                ::close(w.fd);
-            JobResult res;
-            res.diagnostic = "executor aborted before the job finished";
-            ++delivered;
-            if (w.completion)
-                w.completion(std::move(res));
-        }
-        for (PendingJob &p : queued) {
-            JobResult res;
-            res.diagnostic = "executor aborted before the job finished";
-            ++delivered;
-            if (p.done)
-                p.done(std::move(res));
-        }
-        return delivered;
-    }
-
-    std::size_t
-    pump(int timeout_ms)
-    {
-        std::size_t delivered = spawnPending();
-        if (active.empty())
-            return delivered;
-
-        std::vector<pollfd> pfds;
-        pfds.reserve(active.size());
-        for (const Worker &w : active)
-            pfds.push_back({w.fd, POLLIN, 0});
-        int effective = timeout_ms;
-        const int hint = deadlineHintMs();
-        if (hint >= 0 && (effective < 0 || hint < effective))
-            effective = hint;
-        const int rv =
-            ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                   effective);
-        if (rv < 0) {
-            if (errno == EINTR)
-                return delivered;
-            return delivered + abort();
-        }
-
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0)
-                continue;
-            Worker &w = active[i];
-            char chunk[65536];
-            while (true) {
-                const ssize_t n = ::read(w.fd, chunk, sizeof(chunk));
-                if (n > 0) {
-                    w.buf.append(chunk, static_cast<std::size_t>(n));
-                    continue;
-                }
-                if (n == 0) {
-                    finishWorker(w);
-                    break;
-                }
-                if (errno == EINTR)
-                    continue;
-                break; // EAGAIN: drained for now
-            }
-        }
-
-        const auto after = Clock::now();
-        for (Worker &w : active) {
-            if (!w.hasDeadline || w.timedOut || w.done ||
-                after < w.deadline)
-                continue;
-            ::kill(w.pid, SIGKILL);
-            w.timedOut = true;
-            w.result.diagnostic =
-                "timed out after " + std::to_string(cfg.timeoutSeconds) +
-                " s (worker killed)";
-            // The EOF from the dying worker arrives on the next poll
-            // pass; finishWorker() then reaps and finalizes it.
-        }
-
-        // Pull finished workers out of the active set *before* running
-        // their completions: a callback that throws must not leave a
-        // reaped worker in the pool.
-        std::vector<Worker> finished;
-        for (std::size_t i = 0; i < active.size();) {
-            if (!active[i].done) {
-                ++i;
-                continue;
-            }
-            finished.push_back(std::move(active[i]));
-            active.erase(active.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-        }
-        delivered += spawnPending(); // refill slots freed this pass
-        for (Worker &w : finished) {
-            ++delivered;
-            if (w.completion)
-                w.completion(std::move(w.result));
-        }
-        return delivered;
-    }
-};
-
-ProcessPool::ProcessPool(const ExecutorConfig &cfg)
-    : impl_(std::make_unique<Impl>())
-{
-    impl_->cfg = cfg;
-    impl_->slots = std::max<std::size_t>(
-        1, cfg.jobs != 0 ? cfg.jobs : defaultJobCount());
-}
-
-ProcessPool::~ProcessPool()
-{
-    // Kill and reap without delivering completions: the callback
-    // targets may already be mid-destruction in the owner.
-    for (Worker &w : impl_->active) {
-        if (w.pid > 0 && !w.done) {
-            ::kill(w.pid, SIGKILL);
-            int st = 0;
-            pid_t r;
-            do {
-                r = ::waitpid(w.pid, &st, 0);
-            } while (r < 0 && errno == EINTR);
-        }
-        if (w.fd >= 0)
-            ::close(w.fd);
-    }
-}
-
-void
-ProcessPool::submit(Job job, Completion done)
-{
-    if (impl_->abortedFlag) {
-        JobResult res;
-        res.diagnostic = "executor aborted before the job finished";
-        if (done)
-            done(std::move(res));
-        return;
-    }
-    const std::size_t cap = impl_->cfg.maxInFlight;
-    while (cap != 0 && impl_->inFlight() >= cap && !impl_->abortedFlag)
-        impl_->pump(-1);
-    if (impl_->abortedFlag) {
-        // The pool died while we waited at the cap: this job must still
-        // get its answer, and nothing may be queued on a dead pool.
-        JobResult res;
-        res.diagnostic = "executor aborted before the job finished";
-        if (done)
-            done(std::move(res));
-        return;
-    }
-    impl_->pending.push_back(
-        Impl::PendingJob{std::move(job), std::move(done)});
-    impl_->spawnPending();
-}
-
-std::size_t
-ProcessPool::pump(int timeout_ms)
-{
-    return impl_->pump(timeout_ms);
-}
-
-void
-ProcessPool::drain()
-{
-    while (impl_->inFlight() > 0 && !impl_->abortedFlag)
-        impl_->pump(-1);
-}
-
-std::size_t
-ProcessPool::inFlight() const
-{
-    return impl_->inFlight();
-}
-
-void
-ProcessPool::addReadFds(std::vector<pollfd> &fds) const
-{
-    for (const Worker &w : impl_->active)
-        if (w.fd >= 0)
-            fds.push_back({w.fd, POLLIN, 0});
-}
-
-int
-ProcessPool::timeoutHintMs() const
-{
-    return impl_->deadlineHintMs();
-}
-
-bool
-ProcessPool::aborted() const
-{
-    return impl_->abortedFlag;
-}
-
-// ---------------------------------------------------------------------
-// ResidentPool
-// ---------------------------------------------------------------------
-
-namespace
-{
 
 /** Resident worker body: serve request frames until the parent closes
  *  the request pipe, then retire cleanly. One response frame per
@@ -591,6 +124,11 @@ residentMain(const ResidentPool::Service &service, int rfd, int wfd)
         }
         if (response.size() > kMaxPayloadBytes)
             _exit(kUncaughtExitCode);
+        // The header below truncates to 32 bits; the cap above is the
+        // proof it fits, and this pins that if the cap ever moves past
+        // 4 GiB.
+        static_assert(kMaxPayloadBytes <= ~std::uint32_t{0},
+                      "frame header is 32 bits");
         const std::uint32_t rlen =
             static_cast<std::uint32_t>(response.size());
         if (!writeAll(wfd, &rlen, sizeof(rlen)) ||
@@ -622,7 +160,7 @@ struct RWorker
     /// its warm-started in-process System cache stays hot.
     std::uint64_t lastDone = 0;
     JobResult result; ///< prefilled diagnostic on timeout
-    ProcessPool::Completion completion;
+    ResidentPool::Completion completion;
 };
 
 /** 1 = one complete frame extracted into @p payload, 0 = need more
@@ -646,6 +184,13 @@ tryExtractFrame(std::string &buf, std::string &payload)
 }
 
 } // namespace
+
+unsigned
+defaultJobCount()
+{
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : n;
+}
 
 struct ResidentPool::Impl
 {
@@ -892,7 +437,7 @@ struct ResidentPool::Impl
     }
 
     /** EOF from a worker: reap it and, if it held a request, classify
-     *  the death exactly like ProcessPool's finishWorker(). */
+     *  the death from its wait status. */
     void
     finishDeadWorker(RWorker &w)
     {
@@ -986,8 +531,8 @@ struct ResidentPool::Impl
         }
 
         // Deadline enforcement before frame extraction: a frame that
-        // races in after the deadline is discarded (the job blew its
-        // budget either way), matching ProcessPool.
+        // races in after the deadline is discarded (the request blew its
+        // budget either way).
         const auto after = Clock::now();
         for (RWorker &w : workers) {
             if (!w.busy || !w.hasDeadline || w.timedOut || w.eof ||
@@ -1076,8 +621,8 @@ ResidentPool::ResidentPool(const ExecutorConfig &cfg, Service service)
 
 ResidentPool::~ResidentPool()
 {
-    // Kill and reap without delivering completions, like ProcessPool:
-    // the callback targets may already be mid-destruction in the owner.
+    // Kill and reap without delivering completions: the callback
+    // targets may already be mid-destruction in the owner.
     for (RWorker &w : impl_->workers)
         impl_->killAndReap(w);
 }
@@ -1140,12 +685,6 @@ ResidentPool::timeoutHintMs() const
     return impl_->deadlineHintMs();
 }
 
-bool
-ResidentPool::aborted() const
-{
-    return impl_->abortedFlag;
-}
-
 std::vector<ResidentPool::WorkerStats>
 ResidentPool::workerStats() const
 {
@@ -1169,39 +708,6 @@ double
 ResidentPool::upMs() const
 {
     return Impl::elapsedMs(impl_->createdAt, Clock::now());
-}
-
-// ---------------------------------------------------------------------
-// runJobs: the fixed-batch wrapper
-// ---------------------------------------------------------------------
-
-std::vector<JobResult>
-runJobs(const std::vector<Job> &jobs, const ExecutorConfig &cfg,
-        const JobObserver &observer)
-{
-    std::vector<JobResult> results(jobs.size());
-    if (jobs.empty())
-        return results;
-
-    ExecutorConfig pcfg = cfg;
-    pcfg.jobs = static_cast<unsigned>(effectiveJobCount(cfg, jobs.size()));
-    pcfg.maxInFlight = 0; // the whole batch queues up front
-    ProcessPool pool(pcfg);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        pool.submit(jobs[i], [&results, &observer, i](JobResult &&res) {
-            results[i] = std::move(res);
-            if (observer)
-                observer(i, results[i]);
-        });
-    }
-    pool.drain();
-    // A hard poll failure abandons undelivered jobs; give them a real
-    // diagnostic (legitimate crashes always carry one already).
-    for (JobResult &res : results) {
-        if (res.status == JobStatus::Crashed && res.diagnostic.empty())
-            res.diagnostic = "executor aborted before the job finished";
-    }
-    return results;
 }
 
 } // namespace duet

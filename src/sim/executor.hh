@@ -1,41 +1,25 @@
 /**
  * @file
- * A fork-per-job process pool: runs opaque job closures in worker
- * processes (up to a configurable number at once), ships each worker's
- * result back over a pipe in a small length-prefixed wire frame, and
- * delivers results through per-job completion callbacks.
+ * The resident-worker process pool: forks each worker once, streams
+ * request frames to it, runs a service function per request in the
+ * worker, and ships one response frame back per request. Completions
+ * are delivered through per-request callbacks.
  *
- * Worker processes buy crash isolation for free: a job that aborts,
- * segfaults or overruns the per-job wall-clock timeout becomes a failed
- * JobResult with a one-line diagnostic instead of taking the whole batch
- * down. The pool is deliberately workload-agnostic — it schedules
- * closures returning serialized bytes, not sweep-specific types.
+ * Worker processes buy crash isolation: each worker holds at most one
+ * request at a time, so a request that aborts, segfaults or overruns
+ * the per-request wall-clock timeout becomes a failed JobResult with a
+ * one-line diagnostic, and the dead worker is replaced for the next
+ * request. Resident workers amortize the fork, copy-on-write fault-in
+ * and teardown bill across requests (and keep a warm-started System
+ * between them). The pool is deliberately workload-agnostic: requests
+ * and responses are opaque serialized strings.
  *
- * Three layers:
- *
- *  - ProcessPool: a long-lived, submit-as-you-go scheduler. Jobs are
- *    submitted over time (a scenario server feeding requests off a
- *    stream), an optional in-flight cap applies backpressure at
- *    submit(), and pump()/drain() move completions forward. External
- *    event loops can fold the pool's pipe fds into their own poll()
- *    via addReadFds()/timeoutHintMs().
- *
- *  - ResidentPool: the same scheduling surface over *resident* workers.
- *    Where ProcessPool forks one process per job (each child paying the
- *    fork, copy-on-write fault-in and teardown bill — several
- *    milliseconds per scenario on a warm tree), ResidentPool forks each
- *    worker once and streams request frames to it; the worker runs a
- *    service function per request and streams response frames back.
- *    Jobs must therefore be *serializable* (a request string), not
- *    closures. Each worker holds at most one request at a time, so a
- *    crash or deadline overrun is still attributed to exactly one job,
- *    classified with the same diagnostics as ProcessPool, and the dead
- *    worker is replaced — per-job crash isolation survives, only the
- *    per-job process cost is amortized away.
- *
- *  - runJobs(): the fixed-batch convenience wrapper the `--sweep`
- *    runner was built on — submit everything, drain, return results
- *    **in submission order** regardless of completion order.
+ * It is a submit-as-you-go scheduler: requests arrive over time (a
+ * scenario server feeding them off a stream, or a sweep queueing its
+ * whole batch), an optional in-flight cap applies backpressure at
+ * submit(), and pump()/drain() move completions forward. External event
+ * loops fold the pool's pipe fds into their own poll() via
+ * addReadFds()/timeoutHintMs().
  *
  * Wire format (both directions, one frame per request/response):
  *
@@ -72,12 +56,12 @@ enum class JobStatus
 struct JobResult
 {
     JobStatus status = JobStatus::Crashed;
-    std::string payload;    ///< the job closure's return value (Ok only)
+    std::string payload;    ///< the service function's response (Ok only)
     std::string diagnostic; ///< one-line failure description (non-Ok)
-    /// Wall-clock service telemetry (ResidentPool only; ProcessPool
-    /// leaves both 0): time the request spent queued before a worker
-    /// took it, and time the worker held it until the outcome was
-    /// final. Attribution only — scheduling never reads these.
+    /// Wall-clock service telemetry: time the request spent queued
+    /// before a worker took it, and time the worker held it until the
+    /// outcome was final. Attribution only — scheduling never reads
+    /// these.
     double queueMs = 0;
     double runMs = 0;
 };
@@ -87,107 +71,21 @@ struct ExecutorConfig
 {
     unsigned jobs = 0;           ///< concurrent workers; 0 = hardware conc.
     unsigned timeoutSeconds = 0; ///< per-job wall clock; 0 = unlimited
-    /// ProcessPool::submit() blocks (pumping completions) while this
-    /// many jobs are already queued or running; 0 = unbounded queue.
-    /// runJobs() ignores it: a fixed batch is queued wholesale.
+    /// ResidentPool::submit() blocks (pumping completions) while this
+    /// many requests are already queued or running; 0 = unbounded queue.
     std::size_t maxInFlight = 0;
 };
-
-/**
- * A unit of schedulable work. Runs in a forked worker; the returned
- * bytes are shipped back to the parent verbatim. Must not throw — an
- * escaped exception is reported as a crashed worker (the child cannot
- * propagate it across the process boundary).
- */
-using Job = std::function<std::string()>;
-
-/**
- * Completion observer, called in the parent as each job finishes — in
- * completion order, which under jobs > 1 need not be submission order.
- * @p index is the job's position in the submitted vector.
- */
-using JobObserver =
-    std::function<void(std::size_t index, const JobResult &result)>;
 
 /** std::thread::hardware_concurrency(), clamped to at least 1. */
 unsigned defaultJobCount();
 
-/** The worker count runJobs actually uses for a batch of @p njobs:
- *  `cfg.jobs` (0 = defaultJobCount()) clamped to [1, njobs]. Exposed so
- *  callers rendering progress (live "running" counters) agree with the
- *  scheduler by construction. */
-std::size_t effectiveJobCount(const ExecutorConfig &cfg, std::size_t njobs);
-
 /**
- * The long-lived, submit-as-you-go process pool. Single-threaded by
- * design: submissions, pump() and completion callbacks all happen on
- * the owning thread (completions run inside submit()/pump()/drain(),
- * never concurrently). Completion callbacks must not call submit() on
- * the same pool.
+ * The resident-worker pool. Single-threaded by design: submissions,
+ * pump() and completion callbacks all happen on the owning thread
+ * (completions run inside submit()/pump()/drain(), never concurrently),
+ * and completion callbacks must not call back into the pool.
  *
- * Destroying a pool with work still in flight SIGKILLs and reaps every
- * worker without delivering the pending completions — the clean
- * shutdown path is drain().
- */
-class ProcessPool
-{
-  public:
-    /** Called in the parent once the job's outcome is final. */
-    using Completion = std::function<void(JobResult &&result)>;
-
-    explicit ProcessPool(const ExecutorConfig &cfg);
-    ~ProcessPool();
-    ProcessPool(const ProcessPool &) = delete;
-    ProcessPool &operator=(const ProcessPool &) = delete;
-
-    /**
-     * Schedule @p job. Spawns a worker immediately when a slot is free,
-     * queues otherwise. When the in-flight cap (cfg.maxInFlight) is
-     * reached, blocks pumping completions until the backlog shrinks
-     * below it. A spawn that fails outright (fork/pipe limits with no
-     * worker left to wait for) delivers a failed result synchronously.
-     */
-    void submit(Job job, Completion done);
-
-    /**
-     * Move the pool forward: wait up to @p timeout_ms (-1 = until
-     * something happens, 0 = just poll) for worker events, read result
-     * frames, enforce per-job deadlines, reap finished workers and
-     * deliver their completions, and start queued jobs as slots free
-     * up. Returns the number of completions delivered.
-     */
-    std::size_t pump(int timeout_ms);
-
-    /** Block until every submitted job has completed. */
-    void drain();
-
-    /** Jobs submitted but not yet completed (queued + running). */
-    std::size_t inFlight() const;
-
-    /**
-     * Fold the pool into an external event loop: append one POLLIN
-     * pollfd per running worker to @p fds, and cap the caller's poll
-     * timeout with timeoutHintMs() (-1 = no deadline pending) so
-     * per-job deadlines still fire while the caller waits on its own
-     * fds. After the poll, call pump(0).
-     */
-    void addReadFds(std::vector<pollfd> &fds) const;
-    int timeoutHintMs() const;
-
-    /** True after an unrecoverable scheduler error (hard poll failure):
-     *  every in-flight job has been failed and delivered. */
-    bool aborted() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-/**
- * The resident-worker pool. Same single-threaded scheduling contract as
- * ProcessPool (completions run inside submit()/pump()/drain() and must
- * not call back into the pool), but workers are forked once and reused:
- * submit() takes an opaque request string, a free worker receives it as
+ * submit() takes an opaque request string; a free worker receives it as
  * a length-prefixed frame, runs the service function over it, and ships
  * one response frame back. The service function is captured at
  * construction, *before* any worker forks, so workers inherit it
@@ -195,8 +93,12 @@ class ProcessPool
  *
  * Construction itself spawns nothing; workers fork lazily as requests
  * need them, up to cfg.jobs. A worker that crashes, wedges past the
- * per-job deadline, or exits early fails only the request it was
+ * per-request deadline, or exits early fails only the request it was
  * holding; the pool forks a replacement for the next request.
+ *
+ * Destroying a pool with work still in flight SIGKILLs and reaps every
+ * worker without delivering the pending completions — the clean
+ * shutdown path is drain().
  */
 class ResidentPool
 {
@@ -216,12 +118,20 @@ class ResidentPool
     /**
      * Schedule @p request. Dispatches to an idle worker immediately
      * (forking one when all are busy and the worker budget allows),
-     * queues otherwise. Blocks pumping completions at the in-flight cap,
-     * exactly like ProcessPool::submit().
+     * queues otherwise. When the in-flight cap (cfg.maxInFlight) is
+     * reached, blocks pumping completions until the backlog shrinks
+     * below it. A fork that fails outright (no live worker left to wait
+     * for) delivers a failed result synchronously.
      */
     void submit(std::string request, Completion done);
 
-    /** See ProcessPool::pump(). */
+    /**
+     * Move the pool forward: wait up to @p timeout_ms (-1 = until
+     * something happens, 0 = just poll) for worker events, read
+     * response frames, enforce per-request deadlines, retire dead
+     * workers and deliver completions, and dispatch queued requests as
+     * workers free up. Returns the number of completions delivered.
+     */
     std::size_t pump(int timeout_ms);
 
     /** Block until every submitted request has completed. Workers stay
@@ -231,12 +141,15 @@ class ResidentPool
     /** Requests submitted but not yet completed (queued + running). */
     std::size_t inFlight() const;
 
-    /** Event-loop integration; see ProcessPool. */
+    /**
+     * Fold the pool into an external event loop: append one POLLIN
+     * pollfd per live worker to @p fds, and cap the caller's poll
+     * timeout with timeoutHintMs() (-1 = no deadline pending) so
+     * per-request deadlines still fire while the caller waits on its
+     * own fds. After the poll, call pump(0).
+     */
     void addReadFds(std::vector<pollfd> &fds) const;
     int timeoutHintMs() const;
-
-    /** True after an unrecoverable scheduler error. */
-    bool aborted() const;
 
     /** Cumulative wall-clock activity of one resident worker. */
     struct WorkerStats
@@ -258,17 +171,6 @@ class ResidentPool
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * Run every job in @p jobs in forked worker processes, at most
- * `cfg.jobs` (0 = defaultJobCount()) at a time, and return one
- * JobResult per job **in submission order**. A worker that crashes or
- * times out yields a failed result; the rest of the batch keeps
- * running. @p observer, when set, receives each result as it completes.
- */
-std::vector<JobResult> runJobs(const std::vector<Job> &jobs,
-                               const ExecutorConfig &cfg,
-                               const JobObserver &observer = {});
 
 } // namespace duet
 

@@ -10,7 +10,7 @@
  * caller-chosen byte budget inline (no allocation, trivially relocated by
  * the owner's container) and falls back to the heap only for oversized or
  * throwing-move captures, so the common simulator capture shapes
- * ([this, msg], [this, req, arrival], [setter, value]) never allocate.
+ * ([this, msg], [this, req, arrival], [op, value]) never allocate.
  *
  * Differences from std::function, on purpose:
  *  - move-only (copying a capture would be a hidden cost; none of the

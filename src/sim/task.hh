@@ -8,13 +8,11 @@
  *
  *  - CoTask<T>: a lazy, awaitable subtask with continuation chaining, so a
  *    workload can be factored into ordinary-looking functions;
- *  - PendingValue<T>/PendingVoid: intrusive awaitable bases for the
- *    per-access hot path — the pending state (value, waiter handle, flag)
- *    lives inside the awaitable itself, so a simulated memory operation
- *    allocates nothing and touches no refcount;
- *  - Future<T>/Future<T>::Setter: a one-shot rendezvous between a coroutine
- *    and an event-queue callback, for the cold paths where producer and
- *    consumer lifetimes genuinely decouple (doorbell handlers, reg pops);
+ *  - PendingValue<T>/PendingVoid: the one rendezvous between a coroutine
+ *    and the event-queue callback that completes its operation — the
+ *    pending state (value, waiter handle, flag) lives inside the
+ *    awaitable itself, so a simulated operation allocates nothing and
+ *    touches no refcount;
  *  - spawn(): detach a CoTask<void> as a top-level simulated thread;
  *  - ClockDelay: co_await n cycles in a clock domain (one-shot);
  *  - Cadence: the repeating form of ClockDelay — one re-armable event
@@ -332,8 +330,7 @@ drainDetachedTasks()
  * there via guaranteed copy elision, so the address captured by the
  * completion callback is stable for the operation's whole lifetime. The
  * result: zero allocations, zero refcounts, zero std::optional per
- * access — the entire Future/State/RcPtr machinery collapses into three
- * words the frame already owns.
+ * access — the pending state is three words the frame already owns.
  *
  * Contract: the derived op must be awaited exactly once, before the
  * frame that owns it dies; fulfill() must be called exactly once.
@@ -433,130 +430,6 @@ class PendingVoid
   private:
     std::coroutine_handle<> waiter_;
     bool done_ = false;
-};
-
-/**
- * One-shot rendezvous between a coroutine (the consumer) and an
- * event/callback (the producer). Copy the Setter into a completion
- * callback; co_await the Future.
- *
- * This is the cold-path sibling of PendingValue: use it only where the
- * producer's lifetime genuinely decouples from the consumer's frame
- * (MMIO doorbell handlers, reg-file pops parked across requests). The
- * shared state is an arena-pooled block behind a non-atomic RcPtr
- * rather than a shared_ptr, holding the value as raw storage + flag.
- */
-template <typename T>
-class Future
-{
-    struct State : ArenaAllocated
-    {
-        std::uint32_t refs = 1;
-        bool has = false;
-        std::coroutine_handle<> waiter;
-        T value{};
-    };
-
-  public:
-    Future() : st_(makeRc<State>()) {}
-
-    /** The producer half; copyable into completion callbacks. */
-    class Setter
-    {
-      public:
-        Setter() = default;
-        explicit Setter(RcPtr<State> st) : st_(std::move(st)) {}
-
-        void
-        set(T v) const
-        {
-            simAssert(st_ != nullptr, "Setter unbound");
-            simAssert(!st_->has, "Future set twice");
-            st_->value = std::move(v);
-            st_->has = true;
-            if (st_->waiter) {
-                auto w = std::exchange(st_->waiter, nullptr);
-                w.resume();
-            }
-        }
-
-      private:
-        RcPtr<State> st_;
-    };
-
-    Setter setter() const { return Setter(st_); }
-
-    bool await_ready() const noexcept { return st_->has; }
-
-    void
-    await_suspend(std::coroutine_handle<> h) const
-    {
-        simAssert(!st_->waiter, "Future awaited twice");
-        st_->waiter = h;
-    }
-
-    T
-    await_resume() const
-    {
-        DUET_DCHECK(st_->has, "Future resumed before its value was set");
-        return std::move(st_->value);
-    }
-
-  private:
-    RcPtr<State> st_;
-};
-
-/** Future specialization for completion-only (void) rendezvous. */
-template <>
-class Future<void>
-{
-    struct State : ArenaAllocated
-    {
-        std::uint32_t refs = 1;
-        bool done = false;
-        std::coroutine_handle<> waiter;
-    };
-
-  public:
-    Future() : st_(makeRc<State>()) {}
-
-    class Setter
-    {
-      public:
-        Setter() = default;
-        explicit Setter(RcPtr<State> st) : st_(std::move(st)) {}
-
-        void
-        set() const
-        {
-            simAssert(st_ != nullptr, "Setter unbound");
-            simAssert(!st_->done, "Future set twice");
-            st_->done = true;
-            if (st_->waiter) {
-                auto w = std::exchange(st_->waiter, nullptr);
-                w.resume();
-            }
-        }
-
-      private:
-        RcPtr<State> st_;
-    };
-
-    Setter setter() const { return Setter(st_); }
-
-    bool await_ready() const noexcept { return st_->done; }
-
-    void
-    await_suspend(std::coroutine_handle<> h) const
-    {
-        simAssert(!st_->waiter, "Future awaited twice");
-        st_->waiter = h;
-    }
-
-    void await_resume() const {}
-
-  private:
-    RcPtr<State> st_;
 };
 
 /**

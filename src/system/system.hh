@@ -150,7 +150,7 @@ class System
      */
     void reset(const SystemConfig &cfg);
 
-    /** This system's coroutine-frame/Future-state arena (test probe). */
+    /** This system's coroutine-frame arena (test probe). */
     const FrameArena &frameArena() const { return arena_; }
 
     /** Aggregate per-category latency totals (valid when the config's

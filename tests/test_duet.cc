@@ -1,12 +1,16 @@
 /**
  * @file
  * System-level tests of the Duet Adapter: accelerator installation,
- * shadow/normal soft registers, memory hubs + proxy cache coherence, soft
+ * shadow/normal soft registers (one-shot read replies, pops dropped by
+ * an accelerator reset), memory hubs + proxy cache coherence, soft
  * caches with forwarded invalidations, the TLB fault flow, exception
  * handling (parity, timeout), and FPSoC-mode downgrades.
  */
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
+#include <utility>
 
 #include "mem/page_table.hh"
 #include "system/system.hh"
@@ -359,9 +363,8 @@ TEST(Exceptions, UnresponsiveAcceleratorTimesOutWithBogusData)
     img.regLayout.kinds = {RegKind::Normal};
     img.start = [](FpgaContext &ctx) {
         // Install a read handler that never completes (RTL bug model).
-        ctx.regs.setNormalHandlers(
-            0, [](Future<std::uint64_t>::Setter) { /* never set */ },
-            nullptr);
+        ctx.regs.setReadHandler(
+            0, [](FpgaRegFile::ReadReply) { /* never replies */ });
     };
     ASSERT_TRUE(sys.installAccel(img));
     std::uint64_t got = 0;
@@ -372,6 +375,70 @@ TEST(Exceptions, UnresponsiveAcceleratorTimesOutWithBogusData)
     EXPECT_EQ(got, kBogusData);
     EXPECT_TRUE(sys.adapter().ctrl().deactivated());
     EXPECT_EQ(sys.adapter().ctrl().timeouts.value(), 1u);
+}
+
+TEST(RegFile, ReadReplyIsOneShot)
+{
+    static_assert(!std::is_copy_constructible_v<FpgaRegFile::ReadReply>);
+    System sys(smallDuet());
+    AccelImage img = echoImage();
+    img.regLayout.kinds = {RegKind::Normal};
+    img.start = [](FpgaContext &ctx) {
+        ctx.regs.setReadHandler(0, [](FpgaRegFile::ReadReply reply) {
+            FpgaRegFile::ReadReply held = std::move(reply);
+            EXPECT_THROW(reply(1), SimPanic); // moved from
+            held(7);
+            EXPECT_THROW(held(8), SimPanic); // already answered
+        });
+    };
+    ASSERT_TRUE(sys.installAccel(img));
+    std::uint64_t got = 0;
+    sys.core(0).start([&](Core &c) -> CoTask<void> {
+        got = co_await c.mmioRead(sys.regAddr(0));
+    });
+    sys.run();
+    EXPECT_EQ(got, 7u);
+    EXPECT_FALSE(sys.adapter().ctrl().deactivated());
+}
+
+TEST(RegFile, PopParkedAcrossAcceleratorResetIsNeverResumed)
+{
+    // An accelerator thread parked in pop() when software resets the
+    // accelerator (ctrl_reg::kReset) stays parked: the reset drops the
+    // parked op, so data written afterwards queues instead of resuming
+    // it. The warm System::reset and the destruction that follow
+    // reclaim the parked frame.
+    const SystemConfig cfg = smallDuet();
+    System sys(cfg);
+    unsigned resumed = 0;
+    AccelImage img = echoImage();
+    img.start = [&resumed](FpgaContext &ctx) {
+        spawn([](FpgaContext ctx, unsigned &n) -> CoTask<void> {
+            co_await ctx.regs.pop(0);
+            ++n;
+        }(ctx, resumed));
+    };
+    ASSERT_TRUE(sys.installAccel(img));
+    sys.core(0).start([&](Core &c) -> CoTask<void> {
+        co_await c.mmioWrite(sys.ctrlAddr(ctrl_reg::kReset), 1);
+        co_await c.mmioWrite(sys.regAddr(0), 5);
+    });
+    sys.run();
+    EXPECT_EQ(resumed, 0u);
+    ASSERT_NE(sys.adapter().regs(), nullptr);
+    EXPECT_TRUE(sys.adapter().regs()->hasData(0)); // queued, not popped
+
+    // The warm-started system runs a fresh accelerator normally.
+    sys.reset(cfg);
+    ASSERT_TRUE(sys.installAccel(echoImage()));
+    std::uint64_t got = 0;
+    sys.core(0).start([&](Core &c) -> CoTask<void> {
+        co_await c.mmioWrite(sys.regAddr(0), 41);
+        got = co_await c.mmioRead(sys.regAddr(1));
+    });
+    sys.run();
+    EXPECT_EQ(got, 42u);
+    EXPECT_EQ(resumed, 0u);
 }
 
 TEST(Fpsoc, DowngradedRegistersStillWork)

@@ -1,12 +1,16 @@
 /**
  * @file
- * Tests of the fork-per-job process pool (sim/executor.hh) and the
- * SweepRow wire format it ships results in: submission-order
- * reassembly under adversarial completion order, crash isolation
- * (abort/SIGSEGV become failed results, the batch continues), the
- * per-job timeout kill path, payloads larger than the pipe buffer,
- * JSON round-trip fuzz over extreme field values, and `-j1` vs `-j8`
- * byte-identity of a real 12-row sweep.
+ * Tests of the resident-worker process pool (sim/executor.hh) and the
+ * SweepRow wire format sweeps ship results in. The pool is driven
+ * directly, through a test service whose request names what the worker
+ * does: completion order vs submission order, crash isolation (abort,
+ * SIGSEGV, an uncaught exception and a nonzero exit become failed
+ * results while the batch continues), the per-request timeout kill
+ * path, empty and pipe-buffer-sized frames in both directions, the
+ * in-flight cap, external event-loop folding, and what only resident
+ * workers do — one pid answering many requests, and a fresh pid after
+ * a crash. Also: JSON round-trip fuzz over extreme row values, and
+ * `-j1` vs `-j8` byte-identity of a real 12-row sweep.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +21,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include <poll.h>
+#include <unistd.h>
 
 #include "sim/config.hh"
 #include "sim/executor.hh"
@@ -55,6 +62,74 @@ dieBySignal(int sig)
     std::_Exit(99); // unreachable; keeps [[noreturn]] honest
 }
 
+/** 2 MiB is far past the kernel pipe buffer: a frame this size only
+ *  gets through because the other side drains concurrently. */
+std::string
+bigPayload()
+{
+    return std::string(2 * 1024 * 1024, 'x') + "tail";
+}
+
+/** The worker body every test pool runs (in the forked worker). The
+ *  request names what to do; anything else is echoed back. */
+std::string
+testService(const std::string &req)
+{
+    if (req == "pid")
+        return std::to_string(::getpid());
+    if (req == "abort")
+        std::abort();
+    if (req == "segv")
+        dieBySignal(SIGSEGV);
+    if (req == "throw")
+        throw std::runtime_error("boom");
+    if (req == "exit7")
+        std::_Exit(7);
+    if (req == "hang") {
+        std::this_thread::sleep_for(60s); // far past any test deadline
+        return "never";
+    }
+    if (req == "empty")
+        return {};
+    if (req == "big")
+        return bigPayload();
+    if (req.rfind("await:", 0) == 0) {
+        awaitFile(req.substr(6));
+        return "awaited";
+    }
+    if (req.rfind("nap:", 0) == 0) {
+        std::this_thread::sleep_for(20ms);
+        return req.substr(4);
+    }
+    return req;
+}
+
+/** Submit @p requests to @p pool, drain, and return the results in
+ *  submission order; @p observer sees each one as it completes. */
+std::vector<JobResult>
+runBatch(ResidentPool &pool, const std::vector<std::string> &requests,
+         const std::function<void(std::size_t, const JobResult &)>
+             &observer = {})
+{
+    std::vector<JobResult> results(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        pool.submit(requests[i], [&results, &observer, i](JobResult &&res) {
+            results[i] = std::move(res);
+            if (observer)
+                observer(i, results[i]);
+        });
+    }
+    pool.drain();
+    return results;
+}
+
+std::vector<JobResult>
+runBatch(const ExecutorConfig &cfg, const std::vector<std::string> &requests)
+{
+    ResidentPool pool(cfg, testService);
+    return runBatch(pool, requests);
+}
+
 // ------------------------- scheduling ---------------------------------
 
 TEST(Executor, DefaultJobCountIsPositive)
@@ -64,32 +139,32 @@ TEST(Executor, DefaultJobCountIsPositive)
 
 TEST(Executor, EmptyBatchIsANoOp)
 {
-    EXPECT_TRUE(runJobs({}, ExecutorConfig{}).empty());
+    ResidentPool pool(ExecutorConfig{}, testService);
+    pool.drain();
+    EXPECT_EQ(pool.inFlight(), 0u);
+    // Workers fork lazily: no request, no process.
+    EXPECT_TRUE(pool.workerStats().empty());
 }
 
 TEST(Executor, ResultsComeBackInSubmissionOrder)
 {
-    // Adversarial completion order, deterministically: job 0 blocks
-    // until the *parent* has delivered job 1's completion (the callback
-    // below writes the flag), so completion order is provably {1, 0} —
-    // yet the result vector must still be in submission order. Having
-    // job 1 itself write the flag would race: both result frames could
-    // land in one parent poll window and be drained in slot order.
+    // Adversarial completion order, deterministically: request 0 blocks
+    // until the *parent* has delivered request 1's completion (the
+    // observer below writes the flag), so completion order is provably
+    // {1, 0} — yet results indexed by submission stay in submission
+    // order. Having request 1 itself write the flag would race: both
+    // response frames could land in one parent poll window and be
+    // drained in worker order.
     const fs::path flag =
         fs::path(::testing::TempDir()) / "duet_executor_order_flag";
     fs::remove(flag);
-    std::vector<Job> jobs;
-    jobs.push_back([&flag] {
-        awaitFile(flag);
-        return std::string("first-submitted");
-    });
-    jobs.push_back([] { return std::string("second-submitted"); });
-
     std::vector<std::size_t> completion;
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    std::vector<JobResult> results =
-        runJobs(jobs, cfg, [&](std::size_t idx, const JobResult &) {
+    ResidentPool pool(cfg, testService);
+    std::vector<JobResult> results = runBatch(
+        pool, {"await:" + flag.string(), "second-submitted"},
+        [&](std::size_t idx, const JobResult &) {
             completion.push_back(idx);
             if (idx == 1)
                 std::ofstream(flag) << "go";
@@ -98,7 +173,7 @@ TEST(Executor, ResultsComeBackInSubmissionOrder)
 
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].status, JobStatus::Ok);
-    EXPECT_EQ(results[0].payload, "first-submitted");
+    EXPECT_EQ(results[0].payload, "awaited");
     EXPECT_EQ(results[1].status, JobStatus::Ok);
     EXPECT_EQ(results[1].payload, "second-submitted");
     EXPECT_EQ(completion, (std::vector<std::size_t>{1, 0}));
@@ -106,9 +181,7 @@ TEST(Executor, ResultsComeBackInSubmissionOrder)
 
 TEST(Executor, HardwareDefaultWhenJobsIsZero)
 {
-    std::vector<Job> jobs{[] { return std::string("a"); },
-                          [] { return std::string("b"); }};
-    std::vector<JobResult> results = runJobs(jobs, ExecutorConfig{});
+    std::vector<JobResult> results = runBatch(ExecutorConfig{}, {"a", "b"});
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].payload, "a");
     EXPECT_EQ(results[1].payload, "b");
@@ -118,17 +191,10 @@ TEST(Executor, HardwareDefaultWhenJobsIsZero)
 
 TEST(Executor, AbortingWorkerBecomesFailedResultBatchContinues)
 {
-    std::vector<Job> jobs;
-    for (int i = 0; i < 4; ++i) {
-        if (i == 2) {
-            jobs.push_back([]() -> std::string { std::abort(); });
-        } else {
-            jobs.push_back([i] { return "ok" + std::to_string(i); });
-        }
-    }
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    std::vector<JobResult> results = runJobs(jobs, cfg);
+    std::vector<JobResult> results =
+        runBatch(cfg, {"ok0", "ok1", "abort", "ok3"});
     ASSERT_EQ(results.size(), 4u);
     for (int i : {0, 1, 3}) {
         EXPECT_EQ(results[i].status, JobStatus::Ok) << i;
@@ -141,11 +207,7 @@ TEST(Executor, AbortingWorkerBecomesFailedResultBatchContinues)
 
 TEST(Executor, SegfaultSignalIsNamedInTheDiagnostic)
 {
-    std::vector<Job> jobs{[]() -> std::string {
-        dieBySignal(SIGSEGV);
-        return "unreachable";
-    }};
-    std::vector<JobResult> results = runJobs(jobs, ExecutorConfig{});
+    std::vector<JobResult> results = runBatch(ExecutorConfig{}, {"segv"});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::Crashed);
     EXPECT_NE(results[0].diagnostic.find("SIGSEGV"), std::string::npos)
@@ -154,9 +216,7 @@ TEST(Executor, SegfaultSignalIsNamedInTheDiagnostic)
 
 TEST(Executor, UncaughtExceptionIsReportedNotPropagated)
 {
-    std::vector<Job> jobs{
-        []() -> std::string { throw std::runtime_error("boom"); }};
-    std::vector<JobResult> results = runJobs(jobs, ExecutorConfig{});
+    std::vector<JobResult> results = runBatch(ExecutorConfig{}, {"throw"});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::Crashed);
     EXPECT_NE(results[0].diagnostic.find("exception"), std::string::npos)
@@ -165,8 +225,7 @@ TEST(Executor, UncaughtExceptionIsReportedNotPropagated)
 
 TEST(Executor, NonzeroExitIsACrash)
 {
-    std::vector<Job> jobs{[]() -> std::string { std::_Exit(7); }};
-    std::vector<JobResult> results = runJobs(jobs, ExecutorConfig{});
+    std::vector<JobResult> results = runBatch(ExecutorConfig{}, {"exit7"});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::Crashed);
     EXPECT_NE(results[0].diagnostic.find("status 7"), std::string::npos)
@@ -177,18 +236,12 @@ TEST(Executor, NonzeroExitIsACrash)
 
 TEST(Executor, TimeoutKillsHungWorkerBatchContinues)
 {
-    std::vector<Job> jobs;
-    jobs.push_back([] { return std::string("quick"); });
-    jobs.push_back([]() -> std::string {
-        std::this_thread::sleep_for(60s); // far past the deadline
-        return "never";
-    });
-    jobs.push_back([] { return std::string("also quick"); });
     ExecutorConfig cfg;
     cfg.jobs = 3;
     cfg.timeoutSeconds = 1;
     const auto start = std::chrono::steady_clock::now();
-    std::vector<JobResult> results = runJobs(jobs, cfg);
+    std::vector<JobResult> results =
+        runBatch(cfg, {"quick", "hang", "also quick"});
     const auto elapsed = std::chrono::steady_clock::now() - start;
 
     ASSERT_EQ(results.size(), 3u);
@@ -206,20 +259,14 @@ TEST(Executor, TimeoutKillsHungWorkerBatchContinues)
 
 TEST(Executor, EmptyAndPipeBufferSizedPayloadsRoundTrip)
 {
-    // 2 MiB is far past the kernel pipe buffer: the worker's write can
-    // only complete because the parent drains concurrently.
-    std::string big(2 * 1024 * 1024, 'x');
-    big += "tail";
-    std::vector<Job> jobs{[] { return std::string(); },
-                          [&big] { return big; }};
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    std::vector<JobResult> results = runJobs(jobs, cfg);
+    std::vector<JobResult> results = runBatch(cfg, {"empty", "big"});
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].status, JobStatus::Ok);
     EXPECT_TRUE(results[0].payload.empty());
     EXPECT_EQ(results[1].status, JobStatus::Ok);
-    EXPECT_EQ(results[1].payload, big);
+    EXPECT_EQ(results[1].payload, bigPayload());
 }
 
 // ------------------------- row wire format ----------------------------
@@ -428,23 +475,21 @@ TEST(SweepParallel, TwelveRowSweepIsByteIdenticalAcrossJobCounts)
     EXPECT_NE(j1.find("tangent"), std::string::npos);
 }
 
-// ------------------------- persistent pool ----------------------------
+// ------------------------- submit-as-you-go ---------------------------
 
 TEST(Pool, SubmitAsYouGoDeliversEveryCompletion)
 {
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     std::vector<std::string> got(5);
     std::size_t delivered = 0;
     for (std::size_t i = 0; i < got.size(); ++i) {
-        pool.submit(
-            [i] { return "job" + std::to_string(i); },
-            [&, i](JobResult &&res) {
-                ASSERT_EQ(res.status, JobStatus::Ok);
-                got[i] = res.payload;
-                ++delivered;
-            });
+        pool.submit("job" + std::to_string(i), [&, i](JobResult &&res) {
+            ASSERT_EQ(res.status, JobStatus::Ok);
+            got[i] = res.payload;
+            ++delivered;
+        });
         // Interleave scheduling with submission, as a server would.
         pool.pump(0);
     }
@@ -460,13 +505,12 @@ TEST(Pool, InFlightCapBoundsTheBacklog)
     ExecutorConfig cfg;
     cfg.jobs = 1;
     cfg.maxInFlight = 2;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     std::size_t delivered = 0;
     for (int i = 0; i < 6; ++i) {
-        pool.submit([] { return std::string("x"); },
-                    [&](JobResult &&) { ++delivered; });
+        pool.submit("x", [&](JobResult &&) { ++delivered; });
         // submit() blocks (delivering completions) until the backlog
-        // is back under the cap before queueing the new job.
+        // is back under the cap before queueing the new request.
         EXPECT_LE(pool.inFlight(), 2u) << "after submit " << i;
     }
     pool.drain();
@@ -477,14 +521,12 @@ TEST(Pool, SurvivesACrashedWorkerAndKeepsServing)
 {
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     JobResult crash, after;
-    pool.submit([]() -> std::string { dieBySignal(SIGSEGV); return ""; },
-                [&](JobResult &&res) { crash = std::move(res); });
+    pool.submit("segv", [&](JobResult &&res) { crash = std::move(res); });
     pool.drain();
     // The pool object outlives the crash: later submissions still run.
-    pool.submit([] { return std::string("alive"); },
-                [&](JobResult &&res) { after = std::move(res); });
+    pool.submit("alive", [&](JobResult &&res) { after = std::move(res); });
     pool.drain();
     EXPECT_EQ(crash.status, JobStatus::Crashed);
     EXPECT_NE(crash.diagnostic.find("SIGSEGV"), std::string::npos)
@@ -499,15 +541,11 @@ TEST(Pool, ExternalEventLoopViaAddReadFds)
     // alongside (here: instead of) the input stream, then pump(0).
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     std::vector<std::string> got;
     for (int i = 0; i < 3; ++i) {
-        pool.submit(
-            [i] {
-                std::this_thread::sleep_for(20ms);
-                return std::to_string(i);
-            },
-            [&](JobResult &&res) { got.push_back(res.payload); });
+        pool.submit("nap:" + std::to_string(i),
+                    [&](JobResult &&res) { got.push_back(res.payload); });
     }
     const auto deadline = std::chrono::steady_clock::now() + 30s;
     while (pool.inFlight() > 0 &&
@@ -530,18 +568,65 @@ TEST(Pool, PerJobTimeoutFiresInsidePump)
     ExecutorConfig cfg;
     cfg.jobs = 1;
     cfg.timeoutSeconds = 1;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     JobResult res;
-    pool.submit(
-        []() -> std::string {
-            std::this_thread::sleep_for(60s);
-            return "never";
-        },
-        [&](JobResult &&r) { res = std::move(r); });
+    pool.submit("hang", [&](JobResult &&r) { res = std::move(r); });
     const auto start = std::chrono::steady_clock::now();
     pool.drain();
     EXPECT_EQ(res.status, JobStatus::TimedOut);
     EXPECT_LT(std::chrono::steady_clock::now() - start, 30s);
+}
+
+// ------------------------- resident workers ---------------------------
+
+TEST(ResidentPool, OneWorkerAnswersSequentialRequestsFromOnePid)
+{
+    ExecutorConfig cfg;
+    cfg.jobs = 1;
+    ResidentPool pool(cfg, testService);
+    std::vector<JobResult> results =
+        runBatch(pool, std::vector<std::string>(5, "pid"));
+    ASSERT_EQ(results.size(), 5u);
+    for (const JobResult &r : results) {
+        ASSERT_EQ(r.status, JobStatus::Ok) << r.diagnostic;
+        EXPECT_EQ(r.payload, results[0].payload);
+    }
+    // A forked worker, not the parent, answered every request.
+    EXPECT_NE(results[0].payload, std::to_string(::getpid()));
+    const auto stats = pool.workerStats();
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(stats[0].requests, 5u);
+}
+
+TEST(ResidentPool, CrashedWorkerIsReplacedByANewPid)
+{
+    ExecutorConfig cfg;
+    cfg.jobs = 1;
+    ResidentPool pool(cfg, testService);
+    std::vector<JobResult> results =
+        runBatch(pool, {"pid", "segv", "pid"});
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].status, JobStatus::Ok);
+    EXPECT_EQ(results[1].status, JobStatus::Crashed);
+    EXPECT_NE(results[1].diagnostic.find("SIGSEGV"), std::string::npos)
+        << results[1].diagnostic;
+    // The request after the crash succeeds on a freshly forked worker.
+    EXPECT_EQ(results[2].status, JobStatus::Ok);
+    EXPECT_NE(results[2].payload, results[0].payload);
+    const auto stats = pool.workerStats();
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(stats[0].requests, 1u); // the crashed worker's totals retired
+}
+
+TEST(ResidentPool, PipeBufferSizedRequestFrameRoundTrips)
+{
+    // Parent to worker: the request frame alone is far past the pipe
+    // buffer, and the echo sends it straight back.
+    const std::string big = "echo " + bigPayload();
+    std::vector<JobResult> results = runBatch(ExecutorConfig{}, {big});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, JobStatus::Ok) << results[0].diagnostic;
+    EXPECT_EQ(results[0].payload, big);
 }
 
 } // namespace

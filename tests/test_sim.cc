@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, clock domains,
- * coroutine tasks/futures, stats, latency traces.
+ * coroutine tasks, stats, latency traces.
  */
 
 #include <gtest/gtest.h>
@@ -123,40 +123,6 @@ TEST(Clock, ScheduleAtEdge)
     eq.run();
     // Next edge at-or-after 12,345 is 20,000; +2 cycles = 40,000.
     EXPECT_EQ(fired, 40'000u);
-}
-
-CoTask<int>
-addLater(EventQueue &eq, int a, int b)
-{
-    Future<int> f;
-    auto s = f.setter();
-    eq.scheduleAfter(100, [s, a, b] { s.set(a + b); });
-    int v = co_await f;
-    co_return v;
-}
-
-TEST(Task, FutureRendezvous)
-{
-    EventQueue eq;
-    int result = 0;
-    spawn([](EventQueue &eq, int &result) -> CoTask<void> {
-        result = co_await addLater(eq, 2, 3);
-    }(eq, result));
-    eq.run();
-    EXPECT_EQ(result, 5);
-}
-
-TEST(Task, FutureAlreadySetDoesNotSuspend)
-{
-    EventQueue eq;
-    Future<int> f;
-    f.setter().set(42);
-    int got = 0;
-    spawn([](Future<int> f, int &got) -> CoTask<void> {
-        got = co_await f;
-    }(f, got));
-    // No events needed; the coroutine never suspended.
-    EXPECT_EQ(got, 42);
 }
 
 CoTask<int>

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fpga_reg_file.hh"
 #include "cpu/core.hh"
 #include "fpga/soft_cache.hh"
 #include "sim/clock.hh"
@@ -123,6 +124,8 @@ TEST(AwaitableDiscipline, OpObjectsArePinned)
     static_assert(!std::is_copy_constructible_v<SoftCache::LoadOp>);
     static_assert(!std::is_move_constructible_v<SoftCache::LoadOp>);
     static_assert(!std::is_move_constructible_v<SoftCache::DrainOp>);
+    static_assert(!std::is_copy_constructible_v<FpgaRegFile::PopOp>);
+    static_assert(!std::is_move_constructible_v<FpgaRegFile::PopOp>);
     static_assert(!std::is_copy_constructible_v<Cadence>);
     static_assert(!std::is_move_constructible_v<Cadence>);
     SUCCEED();

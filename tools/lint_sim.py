@@ -9,16 +9,16 @@ Rules (R1-R9):
 
   R1 fork-outside-executor   `fork(` may appear only in the process-pool
                              executor (src/sim/executor.cc). Everything
-                             else must submit jobs through ProcessPool so
-                             crash isolation, reaping and frame framing
-                             stay in one place.
+                             else must submit requests through
+                             ResidentPool so crash isolation, reaping and
+                             frame framing stay in one place.
   R2 no-const-cast           `const_cast` is banned. Restructure the
                              owner (see EventQueue's vector heap) instead
                              of stealing mutability.
   R3 naked-new-delete        `new`/`delete` expressions are banned
-                             outside the executor: simulator state is
-                             RAII-owned (make_unique/vector). `= delete;`
-                             declarations are fine.
+                             outside the allocation layer: simulator
+                             state is RAII-owned (make_unique/vector).
+                             `= delete;` declarations are fine.
   R4 unchecked-memcpy        every `memcpy(` must be preceded (within
                              {MEMCPY_WINDOW} code lines, same line
                              included) by a visible size check: a
@@ -52,15 +52,14 @@ Rules (R1-R9):
                              the disabled-observability hot path stays a
                              single predictable branch — and so a null
                              sink can never be dereferenced.
-  R9 no-future-hot           `Future<` is banned in the per-access
-                             hot-path headers (src/cpu/*.hh,
-                             src/fpga/*.hh): a Future costs a refcounted
-                             arena block per simulated access, so those
-                             paths must use the intrusive awaitables
-                             (sim/task.hh PendingValue/PendingVoid).
-                             Cold decoupled rendezvous — reg-file pops,
-                             doorbell handlers, src/core — may still use
-                             Future.
+  R9 no-future               `Future<` is banned in every file under
+                             src/: the simulator has one coroutine
+                             rendezvous primitive, the intrusive
+                             awaitables (sim/task.hh PendingValue/
+                             PendingVoid), whose pending state lives in
+                             the awaiting frame. A refcounted future
+                             type costs an arena block per operation and
+                             must not come back as a second one.
 
 Run `python3 tools/lint_sim.py --selftest` to exercise every rule against
 built-in positive/negative fixtures (wired into ctest as lint_selftest).
@@ -79,15 +78,14 @@ from pathlib import Path
 
 MEMCPY_WINDOW = 8
 
-# Files allowed to fork()/new: the fork-per-job executor owns process
+# Files allowed to fork()/new: the resident-worker executor owns process
 # lifecycles (R1); the allocation layer itself — the frame arena, the
-# intrusive RcPtr, and InlineFunction's oversized-capture fallback — is
-# where manual new/delete lives by design (R3). Everything else stays
-# RAII-only and allocates *through* these files.
+# promise operators routing into it, and InlineFunction's
+# oversized-capture fallback — is where manual new/delete lives by
+# design (R3). Everything else stays RAII-only and allocates *through*
+# these files.
 FORK_ALLOWLIST = {"src/sim/executor.cc"}
 NEW_ALLOWLIST = {
-    "src/sim/executor.cc",
-    "src/sim/arena.hh",
     "src/sim/arena.cc",
     "src/sim/inline_function.hh",
     "src/sim/task.hh",
@@ -130,11 +128,10 @@ RE_TRACE_DEREF = re.compile(
 TRACE_HOT_RE = re.compile(
     HOT_HEADERS_RE.pattern[:-2] + r"|src/fpga/async_fifo\.hh)$"
 )
-# R9: headers whose per-access paths must use the intrusive awaitables.
-# Constructing a Future there reintroduces a refcounted arena block per
-# simulated memory operation.
+# R9: the whole simulator tree uses the intrusive awaitables; a Future
+# type anywhere under src/ would be a second rendezvous primitive.
 RE_FUTURE = re.compile(r"\bFuture\s*<")
-FUTURE_HOT_RE = re.compile(r"^(src/cpu/[^/]+\.hh|src/fpga/[^/]+\.hh)$")
+FUTURE_RE = re.compile(r"^src/")
 
 
 def strip_code(text):
@@ -217,7 +214,7 @@ def lint_file(path, rel, findings):
         if RE_FORK.search(line) and rel not in FORK_ALLOWLIST:
             report(lineno, "fork-outside-executor",
                    "fork() is the executor's job; submit through "
-                   "ProcessPool instead")
+                   "ResidentPool instead")
         if RE_CONST_CAST.search(line):
             report(lineno, "no-const-cast",
                    "const_cast is banned; restructure ownership instead")
@@ -239,11 +236,10 @@ def lint_file(path, rel, findings):
             report(lineno, "unguarded-trace-hot",
                    "unguarded trace/prof dereference in a hot header; "
                    "bind it first: if (TraceSink *ts = obs::trace())")
-        if FUTURE_HOT_RE.match(rel) and RE_FUTURE.search(line):
-            report(lineno, "no-future-hot",
-                   "Future<> is banned in per-access hot-path headers; "
-                   "use the intrusive awaitables "
-                   "(sim/task.hh PendingValue/PendingVoid)")
+        if FUTURE_RE.match(rel) and RE_FUTURE.search(line):
+            report(lineno, "no-future",
+                   "Future<> is banned under src/; use the intrusive "
+                   "awaitables (sim/task.hh PendingValue/PendingVoid)")
         if RE_MEMCPY.search(line):
             lo = max(0, idx - MEMCPY_WINDOW)
             window = code_lines[lo:idx + 1]
@@ -340,23 +336,28 @@ SELFTEST_CASES = [
      []),
     ("src/sim/trace_cold.cc",
      "void emit() { obs::trace()->instant(0, \"cold\", 0); }\n", []),
-    # R9: Future construction in a per-access hot header is a finding;
-    # the cold decoupled-rendezvous homes (src/core headers, any .cc)
+    # R9: a Future anywhere under src/ is a finding — hot headers,
+    # src/core headers and .cc files alike; prose and code outside src/
     # are not.
     ("src/cpu/bad_future.hh",
      "#ifndef DUET_CPU_BAD_FUTURE_HH\n#define DUET_CPU_BAD_FUTURE_HH\n"
      "struct P { Future<std::uint64_t> pending; };\n#endif\n",
-     ["no-future-hot"]),
+     ["no-future"]),
     ("src/fpga/bad_future.hh",
      "#ifndef DUET_FPGA_BAD_FUTURE_HH\n#define DUET_FPGA_BAD_FUTURE_HH\n"
      "inline Future <void> fence();\n#endif\n",
-     ["no-future-hot"]),
+     ["no-future"]),
     ("src/core/cold_future.hh",
      "#ifndef DUET_CORE_COLD_FUTURE_HH\n#define DUET_CORE_COLD_FUTURE_HH\n"
      "struct R { Future<std::uint64_t> pop(unsigned reg); };\n#endif\n",
-     []),
+     ["no-future"]),
     ("src/cpu/future_cold.cc",
-     "void f() { Future<int> scratch; }\n", []),
+     "void f() { Future<int> scratch; }\n", ["no-future"]),
+    ("src/sim/future_prose.cc",
+     "// the Future<T> rendezvous this replaced\n"
+     "const char *s() { return \"Future<int>\"; }\n", []),
+    ("tools/future_elsewhere.cc",
+     "void f() { Future<int> outsideTheTree; }\n", []),
     # Comment/string stripping: prose never trips the code rules.
     ("src/cpu/prose.cc",
      "// a new coroutine is forked via const_cast-free magic\n"
