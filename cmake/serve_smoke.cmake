@@ -1,9 +1,12 @@
-# Serve smoke test: pipe a canned 10-request JSONL batch — 8 valid
-# scenarios, one unknown workload and one deterministic failure (a 1 us
-# simulated-time watchdog) — through `duet_sim --serve --jobs 4` and
-# assert the protocol contract: one response line per request, the right
+# Serve smoke test: pipe a canned 12-request JSONL batch — 8 valid
+# scenarios, one unknown workload, two shapes the hardware cannot be
+# built with (3 L2 ways: a non-power-of-two set count; a 5 THz clock: a
+# zero period) and one deterministic failure (a 1 us simulated-time
+# watchdog) — through `duet_sim --serve --jobs 4` and assert the
+# protocol contract: one response line per request, the right
 # ok/invalid/failed split, the `N served / M failed` summary on stderr,
 # and exit status 1 (failures present, but the server survived them).
+# Then check the CLI rejects an unbuildable shape as bad usage.
 #
 # Usage:
 #   cmake -DDUET_SIM=<path> -DWORK_DIR=<dir> -P cmake/serve_smoke.cmake
@@ -25,6 +28,10 @@ foreach(i RANGE 1 4)
 endforeach()
 string(APPEND lines "{\"id\": \"bad\", \"workload\": \"no-such-workload\"}\n")
 string(APPEND lines
+       "{\"id\": \"ways\", \"workload\": \"tangent\", \"l2_ways\": 3}\n")
+string(APPEND lines
+       "{\"id\": \"clock\", \"workload\": \"tangent\", \"cpu_mhz\": 5000000}\n")
+string(APPEND lines
        "{\"id\": \"watchdog\", \"workload\": \"bfs\", \"max_us\": 1}\n")
 file(WRITE ${REQS} "${lines}")
 
@@ -39,14 +46,14 @@ if(NOT rv EQUAL 1)
           "--serve with failing requests should exit 1, got '${rv}' "
           "(stderr: ${summary})")
 endif()
-if(NOT summary MATCHES "8 served / 2 failed")
+if(NOT summary MATCHES "8 served / 4 failed")
   message(FATAL_ERROR "unexpected serve summary: ${summary}")
 endif()
 
 file(STRINGS ${RESP} resp_lines)
 list(LENGTH resp_lines total)
-if(NOT total EQUAL 10)
-  message(FATAL_ERROR "expected 10 response lines in ${RESP}, got ${total}")
+if(NOT total EQUAL 12)
+  message(FATAL_ERROR "expected 12 response lines in ${RESP}, got ${total}")
 endif()
 
 set(ok 0)
@@ -61,28 +68,55 @@ foreach(line IN LISTS resp_lines)
     math(EXPR failed "${failed} + 1")
   endif()
 endforeach()
-if(NOT ok EQUAL 8 OR NOT invalid EQUAL 1 OR NOT failed EQUAL 1)
+if(NOT ok EQUAL 8 OR NOT invalid EQUAL 3 OR NOT failed EQUAL 1)
   message(FATAL_ERROR
-          "expected 8 ok / 1 invalid / 1 failed responses, got "
+          "expected 8 ok / 3 invalid / 1 failed responses, got "
           "${ok} / ${invalid} / ${failed}")
 endif()
 
 # The failure responses answer the requests that caused them.
 set(saw_bad FALSE)
+set(saw_ways FALSE)
+set(saw_clock FALSE)
 set(saw_watchdog FALSE)
 foreach(line IN LISTS resp_lines)
   if(line MATCHES "\"id\": \"bad\", \"status\": \"invalid\"")
     set(saw_bad TRUE)
   endif()
+  if(line MATCHES "\"id\": \"ways\", \"status\": \"invalid\"")
+    set(saw_ways TRUE)
+  endif()
+  if(line MATCHES "\"id\": \"clock\", \"status\": \"invalid\"")
+    set(saw_clock TRUE)
+  endif()
   if(line MATCHES "\"id\": \"watchdog\", \"status\": \"failed\"")
     set(saw_watchdog TRUE)
   endif()
 endforeach()
-if(NOT saw_bad OR NOT saw_watchdog)
+if(NOT saw_bad OR NOT saw_ways OR NOT saw_clock OR NOT saw_watchdog)
   message(FATAL_ERROR "failure responses lost their request ids")
 endif()
 
-message(STATUS "serve smoke OK: 10 requests, 8 ok / 1 invalid / 1 failed")
+message(STATUS "serve smoke OK: 12 requests, 8 ok / 3 invalid / 1 failed")
+
+# The single-run CLI validates through the same path: an L3 whose set
+# count (3 KiB / 16 B line / 4 ways = 48) is not a power of two is bad
+# usage (exit 2 with a diagnostic), not a simulator panic.
+execute_process(
+  COMMAND ${DUET_SIM} --workload tangent --l3-kib 3
+  OUTPUT_QUIET
+  ERROR_VARIABLE shape_err
+  RESULT_VARIABLE shape_rv)
+if(NOT shape_rv EQUAL 2)
+  message(FATAL_ERROR
+          "--l3-kib 3 should exit 2, got '${shape_rv}' "
+          "(stderr: ${shape_err})")
+endif()
+if(NOT shape_err MATCHES "l3_kib 3")
+  message(FATAL_ERROR "--l3-kib 3 diagnostic unexpected: ${shape_err}")
+endif()
+
+message(STATUS "serve smoke OK: --l3-kib 3 rejected with exit 2")
 
 # --listen path hygiene: a path that cannot fit sun_path (108 bytes on
 # Linux) must be rejected up front with exit 2 and a diagnostic naming

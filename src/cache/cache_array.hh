@@ -35,7 +35,7 @@ namespace duet
  * Replacement is true LRU via a monotonic use counter.
  *
  * All valid-bit transitions must go through install()/erase()/
- * invalidate()/clear() so the tag mirror stays coherent with the LineT
+ * invalidate() so the tag mirror stays coherent with the LineT
  * records; callers must not flip `line->valid` directly.
  */
 template <typename LineT>
@@ -153,18 +153,6 @@ class CacheArray
     {
         line.valid = false;
         tags_[indexOf(line)] = kInvalidTag;
-    }
-
-    /** Drop every line and all replacement state (warm-start reset). */
-    void
-    clear()
-    {
-        for (LineT &l : lines_)
-            l = LineT{};
-        std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-        std::fill(lastUse_.begin(), lastUse_.end(), 0);
-        std::fill(mru_.begin(), mru_.end(), 0);
-        clock_ = 0;
     }
 
     /** Count of valid lines (test/debug helper). */

@@ -72,17 +72,8 @@ class L1Cache
     /** Inclusive invalidation from the L2 (line left the L2). */
     void invalidateLine(Addr a) { array_.erase(lineAlign(a)); }
 
-    /** Drop everything (used on context resets in tests). */
+    /** Count of valid lines (test/debug helper). */
     unsigned validLines() const { return array_.countValid(); }
-
-    /** Drop all lines and counters (scenario warm-start). */
-    void
-    reset()
-    {
-        array_.clear();
-        hits.reset();
-        misses.reset();
-    }
 
     Counter hits, misses;
 

@@ -81,30 +81,6 @@ L3Shard::DirMap::find(Addr la) const
 }
 
 void
-L3Shard::DirMap::clear()
-{
-    std::fill(slots_.begin(), slots_.end(), std::pair<Addr, std::uint32_t>{kEmpty, 0});
-    entries_.clear();
-}
-
-void
-L3Shard::reset()
-{
-    array_.clear();
-    dir_.clear();
-    busyUntil_ = 0;
-    memBusyUntil_ = 0;
-    requests.reset();
-    recallsSent.reset();
-    invsSent.reset();
-    l3Hits.reset();
-    l3Misses.reset();
-    memReads.reset();
-    memWrites.reset();
-    atomics.reset();
-}
-
-void
 L3Shard::registerStats(StatRegistry &reg) const
 {
     reg.registerCounter(name_ + ".requests", &requests);

@@ -63,11 +63,6 @@ class L3Shard
 
     void registerStats(StatRegistry &reg) const;
 
-    /** Rewind to construction state, keeping wiring and table capacity
-     *  (scenario warm-start). Only valid with no busy transactions —
-     *  i.e. after the event queue was reset. */
-    void reset();
-
   private:
     enum class DirState : std::uint8_t
     {
@@ -106,9 +101,6 @@ class L3Shard
 
         /// Probe without creating; null when @p la was never touched.
         const DirEntry *find(Addr la) const;
-
-        /// Drop every entry, keeping the table's capacity warm.
-        void clear();
 
       private:
         /// Occupied-slot marker: line-aligned keys can never equal it.

@@ -29,26 +29,6 @@ PrivateCache::registerStats(StatRegistry &reg) const
     reg.registerCounter(name_ + ".amosForwarded", &amosForwarded);
 }
 
-void
-PrivateCache::reset()
-{
-    array_.clear();
-    mshrs_.clear();
-    evictBuf_.clear();
-    stalled_.clear();
-    outstandingAmos_.clear();
-    nextTxnId_ = 1;
-    busyUntil_ = 0;
-    hits.reset();
-    misses.reset();
-    evictions.reset();
-    invsReceived.reset();
-    recallsReceived.reset();
-    spuriousInvs.reset();
-    writebacks.reset();
-    amosForwarded.reset();
-}
-
 Tick
 PrivateCache::startOp()
 {

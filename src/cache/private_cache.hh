@@ -100,11 +100,6 @@ class PrivateCache
 
     void registerStats(StatRegistry &reg) const;
 
-    /** Rewind to construction state, keeping wiring and geometry
-     *  (scenario warm-start). Only valid with no outstanding
-     *  transactions — i.e. after the event queue was reset. */
-    void reset();
-
   private:
     struct Mshr
     {

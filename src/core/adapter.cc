@@ -179,25 +179,4 @@ DuetAdapter::injectParityError(unsigned i)
     hubs_.at(i)->reqFifo().push(bad);
 }
 
-void
-DuetAdapter::reset()
-{
-    // The control hub first: it drops its regFile_ pointer before the
-    // register file itself is destroyed below.
-    ctrl_->reset();
-    for (auto &h : hubs_)
-        h->reset();
-    fabric_.reset();
-    spad_.clear();
-    spad_.reads.reset();
-    spad_.writes.reset();
-    // Uninstall the soft accelerator. The FIFO drains these held
-    // (toFpga_ -> regFile, respFifo_ -> softCache) now dangle, but
-    // nothing pushes into those FIFOs until the next install() re-sets
-    // them: the proxies serve only hub traffic and the cores are idle
-    // until start().
-    regFile_.reset();
-    softCaches_.clear();
-}
-
 } // namespace duet

@@ -131,12 +131,6 @@ class DuetAdapter
 
     void registerStats(StatRegistry &reg) const;
 
-    /** Rewind to construction state (scenario warm-start): uninstalls
-     *  the soft accelerator (register file, soft caches, fabric state)
-     *  and resets hubs, control hub and scratchpad. Only valid after
-     *  the event queue was reset. */
-    void reset();
-
   private:
     ClockDomain &fastClk_;
     std::string name_;

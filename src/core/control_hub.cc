@@ -11,8 +11,7 @@ ControlHub::ControlHub(ClockDomain &fast_clk, ClockDomain &fpga_clk,
                        Fabric &fabric, Mesh &mesh, NodeId self,
                        Addr mmio_base)
     : fastClk_(fast_clk), fpgaClk_(fpga_clk), name_(std::move(name)),
-      params_(params), initialParams_(params), fabric_(fabric),
-      mesh_(mesh), self_(self),
+      params_(params), fabric_(fabric), mesh_(mesh), self_(self),
       mmioBase_(mmio_base),
       toFpga_(name_ + ".toFpga", fpga_clk, params.ctrlFifoDepth,
               params.syncStages),
@@ -30,32 +29,6 @@ ControlHub::registerStats(StatRegistry &reg) const
     reg.registerCounter(name_ + ".timeouts", &timeouts);
     reg.registerCounter(name_ + ".bogusResponses", &bogusResponses);
     reg.registerCounter(name_ + ".programs", &programs);
-}
-
-void
-ControlHub::reset()
-{
-    params_ = initialParams_;
-    regFile_ = nullptr;
-    shadows_.clear();
-    queue_.clear();
-    pumping_ = false;
-    headBlocked_ = false;
-    blockedTxn_ = 0;
-    blockToken_ = 0;
-    deactivated_ = false;
-    error_ = HubError::None;
-    tlbVpnLatch_ = 0;
-    tlbSelect_ = 0;
-    nextFwdTxn_ = 1;
-    resetHook_ = nullptr;
-    toFpga_.reset();
-    fromFpga_.reset();
-    mmioReads.reset();
-    mmioWrites.reset();
-    timeouts.reset();
-    bogusResponses.reset();
-    programs.reset();
 }
 
 void

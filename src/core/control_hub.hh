@@ -117,12 +117,6 @@ class ControlHub
 
     void registerStats(StatRegistry &reg) const;
 
-    /** Rewind to construction state (scenario warm-start): detaches the
-     *  register file, drops shadows and the workload-installed reset
-     *  hook, and restores MMIO-mutable params (timeout). Only valid
-     *  after the event queue was reset. */
-    void reset();
-
   private:
     struct MmioOp
     {
@@ -159,9 +153,6 @@ class ControlHub
     ClockDomain &fpgaClk_;
     std::string name_;
     ControlHubParams params_;
-    /// Ctor-time params snapshot: reset() rewinds the MMIO-mutable
-    /// timeout to this.
-    ControlHubParams initialParams_;
     Fabric &fabric_;
     Mesh &mesh_;
     NodeId self_;

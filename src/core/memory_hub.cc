@@ -8,8 +8,7 @@ namespace duet
 MemoryHub::MemoryHub(ClockDomain &hub_clk, ClockDomain &fpga_clk,
                      std::string name, const MemoryHubParams &params,
                      PrivateCache &proxy)
-    : hubClk_(hub_clk), name_(std::move(name)), params_(params),
-      initialParams_(params), proxy_(proxy),
+    : hubClk_(hub_clk), name_(std::move(name)), params_(params), proxy_(proxy),
       reqFifo_(name_ + ".reqFifo", hub_clk, params.reqFifoDepth,
                params.reqSyncStages),
       respFifo_(name_ + ".respFifo", fpga_clk, params.respFifoDepth,
@@ -44,27 +43,6 @@ MemoryHub::registerStats(StatRegistry &reg) const
     reg.registerCounter(name_ + ".parityErrors", &parityErrors);
     reg.registerCounter(name_ + ".tlbHits", &tlb_.hits);
     reg.registerCounter(name_ + ".tlbMisses", &tlb_.misses);
-}
-
-void
-MemoryHub::reset()
-{
-    params_ = initialParams_;
-    active_ = true;
-    error_ = HubError::None;
-    faulted_.clear();
-    respQ_.clear();
-    respPumping_ = false;
-    tlb_.flush();
-    tlb_.hits.reset();
-    tlb_.misses.reset();
-    reqFifo_.reset();
-    respFifo_.reset();
-    reqsAccepted.reset();
-    reqsDropped.reset();
-    invsForwarded.reset();
-    tlbFaults.reset();
-    parityErrors.reset();
 }
 
 void

@@ -119,11 +119,6 @@ class MemoryHub
 
     void registerStats(StatRegistry &reg) const;
 
-    /** Rewind to construction state — including the MMIO-driven feature
-     *  switches — keeping ctor wiring (fault handler, error hook, req
-     *  FIFO drain) in place (scenario warm-start). */
-    void reset();
-
   private:
     /** Drain side of the request FIFO: runs in the hub clock domain. */
     void handleReq(FpgaMemReq &&req);
@@ -140,9 +135,6 @@ class MemoryHub
     ClockDomain &hubClk_;
     std::string name_;
     MemoryHubParams params_;
-    /// Ctor-time params snapshot: reset() rewinds the MMIO-mutable
-    /// switches (forwardInvs/tlbEnabled/atomicsEnabled) to these.
-    MemoryHubParams initialParams_;
     PrivateCache &proxy_;
     AsyncFifo<FpgaMemReq> reqFifo_;
     AsyncFifo<FpgaMemResp> respFifo_;

@@ -13,7 +13,6 @@
 #ifndef DUET_CPU_CORE_HH
 #define DUET_CPU_CORE_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -188,26 +187,6 @@ class Core
 
     void registerStats(StatRegistry &reg) const;
 
-    /** Rewind to construction state, dropping the workload-installed
-     *  interrupt handler (scenario warm-start). The owning L2 is reset
-     *  separately by the system. */
-    void
-    reset()
-    {
-        l1_.reset();
-        irqHandler_ = nullptr;
-        pendingMmio_.clear();
-        nextTxn_ = 1;
-        finished_ = false;
-        finishTick_ = 0;
-        loads.reset();
-        stores.reset();
-        amos.reset();
-        mmios.reset();
-        l1Hits.reset();
-        irqs.reset();
-    }
-
   private:
     /**
      * Pending-MMIO table: txnId -> in-flight MMIO op. MMIOs are
@@ -263,13 +242,6 @@ class Core
             slots_[hole] = Entry{};
             --size_;
             return op;
-        }
-
-        void
-        clear()
-        {
-            std::fill(slots_.begin(), slots_.end(), Entry{});
-            size_ = 0;
         }
 
         std::size_t size() const { return size_; }

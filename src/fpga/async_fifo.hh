@@ -115,21 +115,6 @@ class AsyncFifo
 
     const std::string &name() const { return name_; }
 
-    /**
-     * Rewind to construction state, keeping the drain wiring (scenario
-     * warm-start). Only valid after the event queue reset destroyed any
-     * scheduled deliveries, so in-flight occupancy simply vanishes.
-     */
-    void
-    reset()
-    {
-        occupancy_ = 0;
-        lastDeliver_ = 0;
-        hasDelivered_ = false;
-        pushes.reset();
-        cdcWait.reset();
-    }
-
     Counter pushes;
     SampleStat cdcWait;
 

@@ -169,14 +169,6 @@ class Fabric
         return true;
     }
 
-    void
-    reset()
-    {
-        state_ = State::Unconfigured;
-        accelName_.clear();
-        configured_ = {};
-    }
-
     const FabricResources &configuredResources() const { return configured_; }
 
   private:

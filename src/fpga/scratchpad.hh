@@ -52,8 +52,6 @@ class Scratchpad
         writes.inc();
     }
 
-    void clear() { std::fill(data_.begin(), data_.end(), 0); }
-
     /** BRAM bits this scratchpad consumes in the fabric. */
     std::size_t bramBits() const { return data_.size() * 8; }
 

@@ -65,52 +65,6 @@ listWorkloads(std::ostream &os)
     }
 }
 
-/** Open @p path for writing ("-" = stdout); null on failure. */
-std::ostream *
-openSink(const std::string &path, std::ofstream &file)
-{
-    if (path == "-")
-        return &std::cout;
-    file.open(path);
-    if (!file) {
-        std::cerr << "duet_sim: cannot open " << path << " for writing\n";
-        return nullptr;
-    }
-    return &file;
-}
-
-/** Write an observability artifact atomically (`<path>.tmp` + rename;
- *  "-" = stdout). @return false on an I/O failure. */
-bool
-writeObsArtifact(const std::string &path, const char *what,
-                 const std::function<void(std::ostream &)> &write)
-{
-    if (path == "-") {
-        write(std::cout);
-        return true;
-    }
-    const std::string tmp = path + ".tmp";
-    std::ofstream file(tmp);
-    if (!file) {
-        std::cerr << "duet_sim: cannot open " << tmp << " for writing\n";
-        return false;
-    }
-    write(file);
-    file.flush();
-    if (!file) {
-        std::cerr << "duet_sim: writing " << what << " to " << tmp
-                  << " failed\n";
-        return false;
-    }
-    file.close();
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::cerr << "duet_sim: cannot rename " << tmp << " to " << path
-                  << "\n";
-        return false;
-    }
-    return true;
-}
-
 /**
  * One sweep output sink. File sinks are atomic: all writes go to
  * `<path>.tmp`, which is renamed onto the final path only once the
@@ -126,25 +80,27 @@ writeObsArtifact(const std::string &path, const char *what,
 struct SweepSink
 {
     std::string path;
-    std::string tmpPath;
-    std::ofstream file;
-    bool toStdout = false;
+    std::ofstream file; ///< the streamed `<path>.tmp`; unused for stdout
 
     bool
     open(const std::string &p)
     {
         path = p;
-        toStdout = p == "-";
-        if (toStdout)
+        if (p == "-")
             return true;
-        tmpPath = p + ".tmp";
-        return openSink(tmpPath, file) != nullptr;
+        file.open(p + ".tmp");
+        if (!file) {
+            std::cerr << "duet_sim: cannot open " << p
+                      << ".tmp for writing\n";
+            return false;
+        }
+        return true;
     }
 
     void
     streamRow(const std::function<void(std::ostream &)> &write)
     {
-        if (toStdout || !file.is_open())
+        if (!file.is_open())
             return;
         write(file);
         file.flush();
@@ -153,27 +109,10 @@ struct SweepSink
     bool
     finalize(const std::function<void(std::ostream &)> &write_all)
     {
-        if (toStdout) {
-            write_all(std::cout);
-            return true;
-        }
-        // Rewrite the temp file with the final content, then publish
-        // it with an atomic rename.
-        file.close();
-        file.open(tmpPath, std::ios::trunc);
-        write_all(file);
-        file.flush();
-        if (!file) {
-            std::cerr << "duet_sim: writing " << tmpPath << " failed\n";
-            return false;
-        }
-        file.close();
-        if (std::rename(tmpPath.c_str(), path.c_str()) != 0) {
-            std::cerr << "duet_sim: cannot rename " << tmpPath << " to "
-                      << path << "\n";
-            return false;
-        }
-        return true;
+        // Rewrite the temp file with the final content and publish it.
+        if (file.is_open())
+            file.close();
+        return publishOutput(path, write_all);
     }
 };
 
@@ -505,18 +444,16 @@ main(int argc, char **argv)
         if (traceSink->truncated())
             std::cerr << "duet_sim: trace hit the record cap; output is "
                          "marked truncated\n";
-        if (!writeObsArtifact(opts.tracePath, "trace",
-                              [&](std::ostream &os) {
-                                  traceSink->write(os);
-                              }))
+        if (!publishOutput(opts.tracePath, [&](std::ostream &os) {
+                traceSink->write(os);
+            }))
             rc = rc == 0 ? 2 : rc;
     }
     if (profiler) {
         obs::setProfiler(nullptr);
-        if (!writeObsArtifact(opts.profPath, "profile",
-                              [&](std::ostream &os) {
-                                  profiler->write(os);
-                              }))
+        if (!publishOutput(opts.profPath, [&](std::ostream &os) {
+                profiler->write(os);
+            }))
             rc = rc == 0 ? 2 : rc;
     }
     return rc;

@@ -145,20 +145,6 @@ class FunctionalMemory
     /** Number of pages touched so far. */
     std::size_t pagesAllocated() const { return pages_.size(); }
 
-    /**
-     * Zero every touched page in place, keeping the page map and its
-     * allocations warm (scenario warm-start). Reads observe the same
-     * all-zero contents a fresh memory would return.
-     */
-    void
-    reset()
-    {
-        for (auto &kv : pages_)
-            kv.second->fill(0);
-        lastPageNum_ = 0;
-        lastPage_ = nullptr;
-    }
-
   private:
     using Page = std::array<std::uint8_t, kPageBytes>;
 

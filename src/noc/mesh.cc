@@ -258,17 +258,4 @@ Mesh::deliver(const Message &msg)
     sink(msg);
 }
 
-void
-Mesh::reset()
-{
-    simAssert(inFlight_ == 0, "mesh reset with messages in flight");
-    for (Router &r : routers_)
-        r.linkFree.fill(0);
-    flight_.active = false;
-    ++flight_.epoch;
-    flight_.hops.clear();
-    delivered_.reset();
-    flitCycles_.reset();
-}
-
 } // namespace duet

@@ -80,11 +80,6 @@ class Mesh
     /** Messages injected but not yet delivered (test/debug helper). */
     unsigned inFlight() const { return inFlight_; }
 
-    /** Drop link occupancy, flight state and counters (warm-start).
-     *  Requires an empty mesh: any in-flight message holds scheduled
-     *  events this reset cannot recall. */
-    void reset();
-
   private:
     /** Output directions from a router. */
     enum Dir : unsigned { East = 0, West = 1, North = 2, South = 3,

@@ -1,14 +1,17 @@
 #include "service/scenario_service.hh"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 #include <sstream>
 
 #include <poll.h>
 
+#include "mem/addr.hh"
 #include "sim/config.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
+#include "sim/types.hh"
 #include "workload/apps.hh"
 
 namespace duet
@@ -381,7 +384,42 @@ validateRequest(const ScenarioRequest &req, const SystemConfig &base,
         cfg.fpgaFreqMhz = req.fpgaFreqMhz;
     if (req.maxTicksUs != 0)
         cfg.maxTicks = req.maxTicksUs * kTicksPerUs;
-    return true;
+
+    // Shapes the hardware would reject with a SimPanic while building.
+    // A cache needs a power-of-two set count (capacity / line / ways),
+    // judged on the effective capacity: runScenario() applies the
+    // ladder's l2_kib/l3_kib to the config only later.
+    auto cacheShape = [&err](const char *level, std::uint64_t bytes,
+                             unsigned ways) {
+        const std::uint64_t sets = ways != 0 ? bytes / kLineBytes / ways : 0;
+        if (std::has_single_bit(sets))
+            return true;
+        err = std::string(level) + "_kib " + std::to_string(bytes / 1024) +
+              " / " + level + "_ways " + std::to_string(ways) + " gives " +
+              std::to_string(sets) + " sets (capacity / " +
+              std::to_string(kLineBytes) +
+              " B line / ways); the set count must be a power of two";
+        return false;
+    };
+    // periodFromMHz() rounds a clock above 1,000,000 MHz (one 1 ps tick
+    // per cycle) down to a zero period.
+    auto clockShape = [&err](const char *what, std::uint64_t mhz) {
+        if (mhz != 0 && periodFromMHz(mhz) != 0)
+            return true;
+        err = std::string(what) + " " + std::to_string(mhz) +
+              " is out of range [1, 1000000] MHz";
+        return false;
+    };
+    const std::uint64_t l2Bytes = req.l2KiB != 0
+                                      ? std::uint64_t{req.l2KiB} * 1024
+                                      : cfg.l2.sizeBytes;
+    const std::uint64_t l3Bytes = req.l3KiB != 0
+                                      ? std::uint64_t{req.l3KiB} * 1024
+                                      : cfg.l3.sizeBytes;
+    return cacheShape("l2", l2Bytes, cfg.l2.ways) &&
+           cacheShape("l3", l3Bytes, cfg.l3.ways) &&
+           clockShape("cpu_mhz", cfg.cpuFreqMhz) &&
+           clockShape("fpga_mhz", cfg.fpgaFreqMhz);
 }
 
 // ---------------------------------------------------------------------

@@ -120,9 +120,11 @@ bool parseScenarioResponse(const std::string &json_line,
  * Validate @p req against the registry bounds and the service's base
  * configuration: known workload and mode, cores/size/seed within the
  * registered ranges, shape overrides within the same limits the CLI
- * flags enforce. On success fills the expanded scenario and the
- * per-request SystemConfig (base + overrides, mode set). On failure
- * fills @p err and returns false.
+ * flags enforce, and cache and clock shapes the hardware can be built
+ * with (a power-of-two set count, a clock period of at least one tick).
+ * On success fills the expanded scenario and the per-request
+ * SystemConfig (base + overrides, mode set). On failure fills @p err
+ * and returns false.
  */
 bool validateRequest(const ScenarioRequest &req, const SystemConfig &base,
                      SweepScenario &sc, SystemConfig &cfg,

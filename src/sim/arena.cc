@@ -36,6 +36,8 @@ struct FrameArena::Ctl
     unsigned char *bump = nullptr;
     std::size_t bumpLeft = 0;
 
+    DetachedPool detached;     ///< spawn()ed frames, see DetachedPool
+
     std::size_t live = 0;      ///< blocks out in the wild
     bool orphaned = false;     ///< owning FrameArena destroyed
     std::size_t slabBytes = 0;
@@ -180,6 +182,15 @@ FrameArena::deallocateRaw(void *p)
         delete c;
 }
 
+DetachedPool &
+DetachedPool::current()
+{
+    thread_local DetachedPool noArena;
+    FrameArena::Ctl *c = FrameArena::current_;
+    return c ? c->detached : noArena;
+}
+
+DetachedPool &FrameArena::detached() { return ctl_->detached; }
 std::size_t FrameArena::liveBlocks() const { return ctl_->live; }
 std::size_t FrameArena::slabBytes() const { return ctl_->slabBytes; }
 std::uint64_t FrameArena::freeListHits() const { return ctl_->freeListHits; }

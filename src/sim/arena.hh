@@ -32,13 +32,20 @@
  * Under --paranoid (and in sanitizer builds) each header carries a
  * live/free magic so double-frees trip a DUET_DCHECK instead of
  * corrupting a free list.
+ *
+ * Each arena also holds the DetachedPool of the spawn()ed frames started
+ * while it was current, so a System reclaims only its own parked
+ * simulated threads.
  */
 
 #ifndef DUET_SIM_ARENA_HH
 #define DUET_SIM_ARENA_HH
 
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "sim/check.hh"
 
@@ -46,6 +53,41 @@ namespace duet
 {
 
 class ArenaScope;
+
+/**
+ * Registry of live detached (spawned) top-level coroutine frames. A
+ * frame that runs to completion removes itself; drain() destroys the
+ * leftovers — typically accelerator threads parked forever in a
+ * while(true) FIFO loop. Without the drain every installAccel() would
+ * leak its parked coroutine chain (each frame transitively owns its
+ * subtask frames).
+ */
+class DetachedPool
+{
+  public:
+    /** The pool spawn() registers with: the current arena's, or this
+     *  thread's own when no arena is current. */
+    static DetachedPool &current();
+
+    void add(std::coroutine_handle<> h) { live_.push_back(h); }
+
+    void remove(std::coroutine_handle<> h) { std::erase(live_, h); }
+
+    /** Destroy every still-suspended frame. Only safe once nothing will
+     *  resume them again — i.e. after the simulation that spawned them
+     *  has finished running its event queue. */
+    void
+    drain()
+    {
+        auto live = std::move(live_);
+        live_.clear();
+        for (auto h : live)
+            h.destroy();
+    }
+
+  private:
+    std::vector<std::coroutine_handle<>> live_;
+};
 
 class FrameArena
 {
@@ -81,6 +123,9 @@ class FrameArena
      */
     static void deallocateRaw(void *p);
 
+    /** The frames spawn()ed while this arena was current. */
+    DetachedPool &detached();
+
     /// @{ Introspection for tests and debugging.
     std::size_t liveBlocks() const;
     std::size_t slabBytes() const;
@@ -91,6 +136,7 @@ class FrameArena
 
   private:
     friend class ArenaScope;
+    friend class DetachedPool;
 
     static thread_local Ctl *current_;
 

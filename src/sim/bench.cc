@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iomanip>
-#include <iostream>
-#include <sstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -73,8 +70,9 @@ benchScenario(const Workload &w, SystemMode mode, unsigned reps)
     // Named lvalue: the observer field is a non-owning FunctionRef, and
     // this lambda must outlive every rep below.
     auto observe = [&](System &sys) {
-        // Workloads lease one (possibly warm) System per run; += keeps
-        // the count meaningful if one ever builds more than one.
+        // Workloads lease one System per run (warm after this thread's
+        // first); += keeps the count meaningful if one ever builds more
+        // than one.
         events += sys.eventQueue().executed();
         ticks = sys.eventQueue().now();
     };
@@ -203,30 +201,11 @@ runBenchMode(const SimOptions &opts)
         std::all_of(rows.begin(), rows.end(),
                     [](const BenchRow &r) { return r.correct; });
 
-    std::ostringstream report;
-    writeBenchJson(report, rows, reps);
-
-    if (opts.benchOut.empty() || opts.benchOut == "-") {
-        std::cout << report.str();
-    } else {
-        // Atomic publication, like the sweep sinks: write PATH.tmp in
-        // full, then rename onto PATH, so a crashed or interrupted bench
-        // never leaves a truncated report.
-        const std::string tmp = opts.benchOut + ".tmp";
-        std::ofstream file(tmp);
-        if (!file) {
-            std::cerr << "duet_sim: cannot open " << tmp
-                      << " for writing\n";
-            return 1;
-        }
-        file << report.str();
-        file.close();
-        if (!file || std::rename(tmp.c_str(), opts.benchOut.c_str()) != 0) {
-            std::cerr << "duet_sim: failed to write " << opts.benchOut
-                      << "\n";
-            return 1;
-        }
-    }
+    if (!publishOutput(opts.benchOut.empty() ? "-" : opts.benchOut,
+                       [&](std::ostream &os) {
+                           writeBenchJson(os, rows, reps);
+                       }))
+        return 1;
     return allCorrect ? 0 : 1;
 }
 

@@ -65,21 +65,6 @@ class ClockDomain
     }
 
     /**
-     * Rewind to construction state at frequency @p freq_mhz (scenario
-     * warm-start). Only valid after the driving event queue has itself
-     * been rewound to tick zero: the phase origin and edge cache restart
-     * from there.
-     */
-    void
-    reset(std::uint64_t freq_mhz)
-    {
-        period_ = periodFromMHz(freq_mhz);
-        origin_ = 0;
-        lastEdge_ = 0;
-        simAssert(period_ > 0, "clock period must be positive");
-    }
-
-    /**
      * The first rising edge at or after tick @p t.
      */
     Tick

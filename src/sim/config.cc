@@ -1,7 +1,10 @@
 #include "sim/config.hh"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 
 #include "sim/trace.hh"
 #include "system/system.hh"
@@ -655,6 +658,34 @@ applySimOverrides(const SimOptions &opts, SystemConfig &cfg)
         cfg.maxTicks = opts.maxTicksUs * kTicksPerUs;
     if (opts.latencyBreakdown)
         cfg.latencyBreakdown = true;
+}
+
+bool
+publishOutput(const std::string &path,
+              const std::function<void(std::ostream &)> &write)
+{
+    if (path == "-") {
+        write(std::cout);
+        return true;
+    }
+    const std::string tmp = path + ".tmp";
+    std::ofstream file(tmp, std::ios::trunc);
+    if (!file) {
+        std::cerr << "duet_sim: cannot open " << tmp << " for writing\n";
+        return false;
+    }
+    write(file);
+    file.close(); // flushes; a failed flush sets failbit
+    if (!file) {
+        std::cerr << "duet_sim: writing " << tmp << " failed\n";
+        return false;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::cerr << "duet_sim: cannot rename " << tmp << " to " << path
+                  << "\n";
+        return false;
+    }
+    return true;
 }
 
 } // namespace duet

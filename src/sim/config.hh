@@ -13,6 +13,8 @@
 #define DUET_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 
 namespace duet
@@ -109,6 +111,16 @@ const char *systemModeName(SystemMode mode);
  * per-scenario config, so the driver passes those explicitly.
  */
 void applySimOverrides(const SimOptions &opts, SystemConfig &cfg);
+
+/**
+ * Publish one duet_sim output file atomically: @p write fills
+ * `PATH.tmp`, which is flushed, checked and renamed onto @p path, so a
+ * failed or interrupted run never leaves a truncated file at @p path.
+ * "-" writes to stdout instead. Failures are reported on stderr.
+ * @return false on an I/O failure
+ */
+bool publishOutput(const std::string &path,
+                   const std::function<void(std::ostream &)> &write);
 
 } // namespace duet
 

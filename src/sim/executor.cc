@@ -155,10 +155,6 @@ struct RWorker
     double queuedMs = 0;   ///< submit-to-dispatch wait of the held request
     std::uint64_t served = 0;
     double busyMsTotal = 0;
-    /// Dispatch-clock stamp of this worker's last completed request;
-    /// dispatch prefers the highest (most recently used) idle worker so
-    /// its warm-started in-process System cache stays hot.
-    std::uint64_t lastDone = 0;
     JobResult result; ///< prefilled diagnostic on timeout
     ResidentPool::Completion completion;
 };
@@ -206,8 +202,6 @@ struct ResidentPool::Impl
     std::size_t slots = 1;
     std::vector<RWorker> workers;
     std::deque<PendingReq> pending;
-    /// Monotonic completion stamp source for RWorker::lastDone.
-    std::uint64_t dispatchClock = 0;
     bool abortedFlag = false;
     const Clock::time_point createdAt = Clock::now();
 
@@ -320,14 +314,13 @@ struct ResidentPool::Impl
     {
         std::size_t delivered = 0;
         while (!pending.empty()) {
-            // Most-recently-used idle worker: the one that just finished
-            // holds the warmest leased System (and OS caches), so keep
-            // feeding it instead of round-robining the pool.
+            // The first idle worker: every worker that has served a
+            // request holds a warm System, so none is preferred.
             RWorker *idle = nullptr;
             for (RWorker &w : workers) {
-                if (!w.busy && !w.eof &&
-                    (idle == nullptr || w.lastDone > idle->lastDone)) {
+                if (!w.busy && !w.eof) {
                     idle = &w;
+                    break;
                 }
             }
             if (idle == nullptr) {
@@ -577,7 +570,6 @@ struct ResidentPool::Impl
                                           std::move(res));
                     w.busy = false;
                     w.hasDeadline = false;
-                    w.lastDone = ++dispatchClock;
                     w.completion = nullptr;
                 } else if (fr < 0) {
                     // Protocol violation: retire the worker, fail the

@@ -10,9 +10,10 @@
  * the per-request wall-clock timeout becomes a failed JobResult with a
  * one-line diagnostic, and the dead worker is replaced for the next
  * request. Resident workers amortize the fork, copy-on-write fault-in
- * and teardown bill across requests (and keep a warm-started System
- * between them). The pool is deliberately workload-agnostic: requests
- * and responses are opaque serialized strings.
+ * and teardown bill across requests, and each keeps its leased System
+ * to rebuild warm for the next request (SystemLease). The pool is
+ * deliberately workload-agnostic: requests and responses are opaque
+ * serialized strings.
  *
  * It is a submit-as-you-go scheduler: requests arrive over time (a
  * scenario server feeding them off a stream, or a sweep queueing its

@@ -37,7 +37,6 @@ class Counter
     /** Bulk increment, for callers accumulating batches (flit counts,
      *  burst sizes) — same cost as inc(), clearer intent. */
     void add(std::uint64_t n) { value_ += n; }
-    void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
   private:
@@ -57,13 +56,6 @@ class SampleStat
             max_ = v;
         sum_ += v;
         ++count_;
-    }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = min_ = max_ = 0.0;
     }
 
     std::uint64_t count() const { return count_; }

@@ -212,52 +212,19 @@ class [[nodiscard]] CoTask<void>
 namespace detail
 {
 
-/**
- * Registry of live detached (spawned) top-level frames. A frame that
- * runs to completion removes itself; drain() destroys the leftovers —
- * typically accelerator threads parked forever in a while(true) FIFO
- * loop. Without the drain every installAccel() would leak its parked
- * coroutine chain (each frame transitively owns its subtask frames).
- */
-class DetachedPool
-{
-  public:
-    static DetachedPool &
-    instance()
-    {
-        static DetachedPool pool;
-        return pool;
-    }
-
-    void add(std::coroutine_handle<> h) { live_.push_back(h); }
-
-    void remove(std::coroutine_handle<> h) { std::erase(live_, h); }
-
-    /** Destroy every still-suspended detached frame. Only safe once
-     *  nothing will resume them again — i.e. after the simulation that
-     *  spawned them has finished running its event queue. */
-    void
-    drain()
-    {
-        auto live = std::move(live_);
-        live_.clear();
-        for (auto h : live)
-            h.destroy();
-    }
-
-  private:
-    std::vector<std::coroutine_handle<>> live_;
-};
-
 /** Self-destroying top-level coroutine used by spawn(). */
 struct Detached
 {
     struct promise_type : ArenaAllocated
     {
+        /// The pool this frame joined at spawn time; another arena may
+        /// be current by the time it completes.
+        DetachedPool *pool = &DetachedPool::current();
+
         Detached
         get_return_object()
         {
-            DetachedPool::instance().add(
+            pool->add(
                 std::coroutine_handle<promise_type>::from_promise(*this));
             return {};
         }
@@ -275,7 +242,7 @@ struct Detached
             await_suspend(std::coroutine_handle<promise_type> h)
                 const noexcept
             {
-                DetachedPool::instance().remove(h);
+                h.promise().pool->remove(h);
                 h.destroy();
             }
 
@@ -299,8 +266,10 @@ spawnImpl(CoTask<void> task)
 /**
  * Detach @p task as an independent simulated thread. The task starts
  * executing immediately (in the caller's event context) until its first
- * suspension point. Frames still suspended when the simulation ends are
- * reclaimed by drainDetachedTasks() (System's destructor calls it).
+ * suspension point. The frame joins the current arena's DetachedPool
+ * (the System under construction or run); frames still suspended when
+ * the simulation ends are reclaimed by that System's destructor or
+ * reset(), or by drainDetachedTasks() outside any System.
  */
 inline void
 spawn(CoTask<void> task)
@@ -309,15 +278,17 @@ spawn(CoTask<void> task)
 }
 
 /**
- * Destroy every spawn()ed frame that never ran to completion. Call only
- * after the event loop that could resume them has stopped for good;
- * System's destructor does, so accelerator threads parked in their
+ * Destroy every frame in the current DetachedPool that never ran to
+ * completion — outside any System, the frames a bare event-queue
+ * simulation spawned. Call only after the event loop that could resume
+ * them has stopped for good. A System drains its own pool on
+ * destruction and reset(), so accelerator threads parked in their
  * request loops don't outlive (and leak past) the simulated machine.
  */
 inline void
 drainDetachedTasks()
 {
-    detail::DetachedPool::instance().drain();
+    DetachedPool::current().drain();
 }
 
 /**
@@ -478,8 +449,8 @@ class ClockDelay
  *
  * Owned by exactly one coroutine frame; the destructor releases the
  * slot. Frames parked forever (accelerator request loops) are reclaimed
- * by drainDetachedTasks() before the event queue is reset or destroyed,
- * which keeps slot release ordered before queue teardown.
+ * by their DetachedPool's drain() before the event queue is reset or
+ * destroyed, which keeps slot release ordered before queue teardown.
  */
 class Cadence
 {

@@ -3,13 +3,16 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/task.hh"
 
 namespace duet
 {
 
-System::System(const SystemConfig &cfg) : cfg_(cfg)
+System::System(const SystemConfig &cfg) : cfg_(cfg) { build(); }
+
+void
+System::build()
 {
+    const SystemConfig &cfg = cfg_;
     const bool has_fpga = cfg.mode != SystemMode::CpuOnly;
     // Tile count: p P-tiles, plus (with an eFPGA) one C-tile and m-1
     // M-tiles. m = 0 still needs the C-tile for the Control Hub.
@@ -144,14 +147,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     for (auto &l3 : l3s_)
         l3->registerStats(stats_);
 
-    applyLatencyBreakdown();
-}
-
-void
-System::applyLatencyBreakdown()
-{
-    latTotals_.reset();
-    LatencyTrace *sink = cfg_.latencyBreakdown ? &latTotals_ : nullptr;
+    LatencyTrace *sink = cfg.latencyBreakdown ? &latTotals_ : nullptr;
     for (auto &c : cores_)
         c->setDefaultTrace(sink);
     if (adapter_)
@@ -165,7 +161,30 @@ System::~System()
     // that could resume them dies with this object, so destroying the
     // frames here — before the members they reference go away — is the
     // single point where it is safe.
-    drainDetachedTasks();
+    arena_.detached().drain();
+}
+
+void
+System::reset(const SystemConfig &cfg)
+{
+    // Parked frames first (they reference components, as in ~System),
+    // then the pending events, then the hardware in the order ~System
+    // destroys it. Only the event-queue slab and the frame arena stay.
+    arena_.detached().drain();
+    eq_.reset();
+    cdcLinks_.clear();
+    adapter_.reset();
+    cores_.clear();
+    l3s_.clear();
+    l2s_.clear();
+    mesh_.reset();
+    fpgaClk_.reset();
+    clk_.reset();
+    mem_ = FunctionalMemory{};
+    stats_ = StatRegistry{};
+    latTotals_.reset();
+    cfg_ = cfg;
+    build();
 }
 
 bool
@@ -182,89 +201,6 @@ System::run()
     if (!drained)
         fatal("system watchdog: simulation exceeded maxTicks (deadlock?)");
     return eq_.now();
-}
-
-bool
-System::geometryCompatible(const SystemConfig &cfg) const
-{
-    const SystemConfig &c = cfg_;
-    return cfg.numCores == c.numCores && cfg.numMemHubs == c.numMemHubs &&
-           cfg.mode == c.mode && cfg.cpuFreqMhz == c.cpuFreqMhz &&
-           cfg.fpgaFreqMhz == c.fpgaFreqMhz &&
-           cfg.l2.sizeBytes == c.l2.sizeBytes && cfg.l2.ways == c.l2.ways &&
-           cfg.l2.hitLatency == c.l2.hitLatency &&
-           cfg.l2.mshrs == c.l2.mshrs &&
-           cfg.l2.maxStoreBytes == c.l2.maxStoreBytes &&
-           cfg.l3.sizeBytes == c.l3.sizeBytes && cfg.l3.ways == c.l3.ways &&
-           cfg.l3.dirLatency == c.l3.dirLatency &&
-           cfg.l3.memLatencyCycles == c.l3.memLatencyCycles &&
-           cfg.l3.memBurstCycles == c.l3.memBurstCycles &&
-           cfg.meshTiming.width == c.meshTiming.width &&
-           cfg.meshTiming.height == c.meshTiming.height &&
-           cfg.meshTiming.routerCycles == c.meshTiming.routerCycles &&
-           cfg.meshTiming.linkCycles == c.meshTiming.linkCycles &&
-           cfg.meshTiming.ejectCycles == c.meshTiming.ejectCycles &&
-           cfg.meshTiming.express == c.meshTiming.express &&
-           cfg.hub.tlbEnabled == c.hub.tlbEnabled &&
-           cfg.hub.tlbEntries == c.hub.tlbEntries &&
-           cfg.hub.forwardInvs == c.hub.forwardInvs &&
-           cfg.hub.atomicsEnabled == c.hub.atomicsEnabled &&
-           cfg.hub.reqFifoDepth == c.hub.reqFifoDepth &&
-           cfg.hub.respFifoDepth == c.hub.respFifoDepth &&
-           cfg.hub.reqSyncStages == c.hub.reqSyncStages &&
-           cfg.hub.respSyncStages == c.hub.respSyncStages &&
-           cfg.hub.hubLatency == c.hub.hubLatency &&
-           cfg.ctrl.shadowEnabled == c.ctrl.shadowEnabled &&
-           cfg.ctrl.timeoutCycles == c.ctrl.timeoutCycles &&
-           cfg.ctrl.ctrlFifoDepth == c.ctrl.ctrlFifoDepth &&
-           cfg.ctrl.syncStages == c.ctrl.syncStages &&
-           cfg.ctrl.progBytesPerCycle == c.ctrl.progBytesPerCycle &&
-           cfg.fabric.clbColumns == c.fabric.clbColumns &&
-           cfg.fabric.clbRows == c.fabric.clbRows &&
-           cfg.fabric.lutsPerClb == c.fabric.lutsPerClb &&
-           cfg.fabric.ffsPerClb == c.fabric.ffsPerClb &&
-           cfg.fabric.bramTiles == c.fabric.bramTiles &&
-           cfg.fabric.bitsPerBram == c.fabric.bitsPerBram &&
-           cfg.fabric.multTiles == c.fabric.multTiles &&
-           cfg.fabric.configBitsPerTile == c.fabric.configBitsPerTile &&
-           cfg.scratchpadBytes == c.scratchpadBytes &&
-           cfg.scratchpadAuto == c.scratchpadAuto;
-}
-
-void
-System::reset(const SystemConfig &cfg)
-{
-    simAssert(geometryCompatible(cfg),
-              "System::reset with a different hardware geometry");
-
-    // Parked coroutine frames reference components; destroy them before
-    // rewinding the state they point at (same reasoning as ~System).
-    drainDetachedTasks();
-
-    // Time first: destroying pending events lets every component below
-    // treat in-flight work as simply gone.
-    eq_.reset();
-    clk_->reset(cfg.cpuFreqMhz);
-    fpgaClk_->reset(cfg.fpgaFreqMhz);
-
-    mem_.reset();
-    mesh_->reset();
-    for (auto &l2 : l2s_)
-        l2->reset();
-    for (auto &l3 : l3s_)
-        l3->reset();
-    for (auto &c : cores_)
-        c->reset();
-    for (auto &f : cdcLinks_)
-        f->reset();
-    if (adapter_)
-        adapter_->reset();
-
-    // Stats registrations hold raw Counter pointers into the components
-    // just reset, so the registry itself needs no rebuild. Only the run
-    // parameters (observer, watchdog, latency breakdown) change.
-    cfg_ = cfg;
-    applyLatencyBreakdown();
 }
 
 Tick

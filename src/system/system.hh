@@ -133,20 +133,14 @@ class System
     Tick lastCoreFinish() const;
 
     /**
-     * True when @p cfg describes the same hardware this system was built
-     * with (same tile count, cache/NoC/fabric geometry and timing) —
-     * i.e. reset() can rewind this instance into a system indistinguishable
-     * from `System(cfg)`. The observer hook and the watchdog limit are
-     * run parameters, not geometry, and are excluded.
-     */
-    bool geometryCompatible(const SystemConfig &cfg) const;
-
-    /**
-     * Rewind this system in place to the state `System(cfg)` would have
-     * constructed, keeping every allocation warm: event-queue slab,
-     * functional-memory pages, cache arrays, directory tables, the
-     * coroutine arena's blocks (scenario warm-start).
-     * @pre geometryCompatible(cfg)
+     * Rebuild this system as `System(cfg)` would, through the
+     * constructor's own build(), for any @p cfg (scenario warm-start,
+     * see SystemLease). The coroutine frames spawned on it, every
+     * component, the functional memory and the stats registry are
+     * destroyed and replaced. Only the two allocators that exist to be
+     * reused survive: the event-queue slab and the frame arena. If
+     * build() panics on a shape the hardware cannot take (see
+     * validateRequest), the system may only be reset again or destroyed.
      */
     void reset(const SystemConfig &cfg);
 
@@ -158,14 +152,15 @@ class System
     const LatencyTrace &latencyTotals() const { return latTotals_; }
 
   private:
-    /** (Re)wire the cores' and soft caches' default-trace fallback to
-     *  match cfg_.latencyBreakdown, clearing prior totals. */
-    void applyLatencyBreakdown();
+    /** Build the hardware described by cfg_ (constructor and reset). */
+    void build();
 
     // The arena and its scope are declared FIRST: members are destroyed
     // in reverse order, so the arena outlives every component — including
     // the detached coroutine frames drained in ~System's body — and is
     // "current" for the whole construction and lifetime of the system.
+    // spawn() registers each detached frame with the current arena, so
+    // this system drains only the frames spawned on it.
     FrameArena arena_;
     ArenaScope arenaScope_{arena_};
     SystemConfig cfg_;

@@ -56,26 +56,19 @@ SystemLease::SystemLease(const SystemConfig &cfg)
 {
     ++leaseCounters().total;
     SystemCache &cache = systemCache();
-    if (cache.sys && !cache.inUse) {
-        if (cache.sys->geometryCompatible(cfg)) {
-            cache.sys->reset(cfg);
-            cache.inUse = true;
-            sys_ = cache.sys.get();
-            warm_ = true;
-            ++leaseCounters().warm;
-            return;
-        }
-        // Different geometry: rebuild the slot, but only when the cached
-        // System's arena scope is innermost — destroying it from under a
-        // later scope would leave the thread-local current-arena pointer
-        // dangling (ArenaScope restores its saved predecessor).
-        if (cache.sys->frameArena().isCurrent()) {
-            cache.sys.reset();
-            cache.sys = std::make_unique<System>(cfg);
-            cache.inUse = true;
-            sys_ = cache.sys.get();
-            return;
-        }
+    // The slot's arena must be current so the frames this run spawns
+    // join that System's own DetachedPool, which its next reset()
+    // drains. It is unless another System's arena scope is innermost:
+    // one built later and still alive, or one built earlier and
+    // destroyed after the slot was seeded (its ArenaScope restores the
+    // arena it displaced).
+    if (cache.sys && !cache.inUse && cache.sys->frameArena().isCurrent()) {
+        cache.sys->reset(cfg);
+        cache.inUse = true;
+        sys_ = cache.sys.get();
+        warm_ = true;
+        ++leaseCounters().warm;
+        return;
     }
     owned_ = std::make_unique<System>(cfg);
     sys_ = owned_.get();
@@ -85,14 +78,14 @@ SystemLease::~SystemLease()
 {
     SystemCache &cache = systemCache();
     if (owned_) {
-        // Seed the cache when the slot is free so the next lease with
-        // this geometry starts warm; otherwise the System dies here (it
-        // is the innermost arena scope, so plain destruction is safe).
+        // Seed the slot when it is free so the next lease starts warm;
+        // otherwise the System dies here (it is the innermost arena
+        // scope, so plain destruction is safe).
         if (!cache.sys && owned_->frameArena().isCurrent())
             cache.sys = std::move(owned_);
         return;
     }
-    if (sys_ != nullptr && sys_ == cache.sys.get())
+    if (sys_ == cache.sys.get())
         cache.inUse = false;
 }
 

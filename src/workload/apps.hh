@@ -28,13 +28,13 @@ namespace duet
 /**
  * A scoped handle to a System configured by @p cfg — the scenario
  * warm-start entry point every benchmark uses in place of constructing a
- * System directly. The lease serves a per-thread cached System when the
- * requested geometry matches: System::reset() rewinds it in place,
- * keeping every allocation warm (event-queue slab, functional-memory
- * pages, cache arrays, directory tables, coroutine arena), which is where
- * repeat runs of the same scenario — bench reps, a resident worker's
- * sweep shard — get their speedup. Geometry mismatches fall back to a
- * fresh System transparently.
+ * System directly. Each thread keeps one System in a slot. A lease
+ * rebuilds that System for @p cfg through System::reset() whenever the
+ * slot is free, whatever geometry it last held, so every lease after a
+ * thread's first is warm: it reuses the event-queue slab and the
+ * coroutine-frame arena instead of allocating them again. A nested lease
+ * (the slot is in use), or one taken while another System's arena is
+ * current, gets a fresh System of its own.
  */
 class SystemLease
 {
@@ -48,7 +48,7 @@ class SystemLease
     System &operator*() { return *sys_; }
     System *operator->() { return sys_; }
 
-    /** True when this lease reused (reset) the cached System. */
+    /** True when this lease reused (reset) the thread's System. */
     bool warm() const { return warm_; }
 
   private:
@@ -64,7 +64,7 @@ class SystemLease
 struct LeaseStats
 {
     std::uint64_t total = 0; ///< leases taken
-    std::uint64_t warm = 0;  ///< leases served by resetting the cache
+    std::uint64_t warm = 0;  ///< leases served by resetting the slot
 };
 
 /** This thread's lease counters (monotonic; never reset). */

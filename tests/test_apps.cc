@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "sim/config.hh"
 #include "system/system.hh"
 #include "workload/apps.hh"
 
@@ -188,6 +193,120 @@ TEST(WarmStart, ResetRunIsByteIdenticalToColdRun)
     EXPECT_EQ(cold.runtime, warm.runtime);
     ASSERT_EQ(dumps.size(), 2u);
     EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+TEST(WarmStart, LeaseOfAnyGeometryIsByteIdenticalToAColdRun)
+{
+    // A lease rebuilds the thread's System through System::reset()
+    // whatever geometry it held before. On one thread, run the 21
+    // default Fig. 12 rows and the four serve_mix cache-ladder rungs in
+    // a seeded shuffled order: every lease after the first must be
+    // warm, and each run must match the same scenario run on a fresh
+    // thread, whose empty lease slot builds the System cold.
+    struct Scenario
+    {
+        const Workload *w;
+        SystemMode mode;
+        unsigned l2KiB = 0;
+        unsigned l3KiB = 0;
+    };
+    std::vector<Scenario> scenarios;
+    for (const Workload &w : workloadRegistry())
+        for (SystemMode m :
+             {SystemMode::Duet, SystemMode::CpuOnly, SystemMode::Fpsoc})
+            scenarios.push_back({&w, m});
+    ASSERT_EQ(scenarios.size(), 21u);
+    const std::pair<unsigned, unsigned> rungs[] = {
+        {4, 32}, {4, 256}, {16, 32}, {16, 256}};
+    for (std::size_t k = 0; k < std::size(rungs); ++k) {
+        Scenario sc = scenarios[k];
+        sc.l2KiB = rungs[k].first;
+        sc.l3KiB = rungs[k].second;
+        scenarios.push_back(sc);
+    }
+    std::mt19937 rng(20231);
+    std::shuffle(scenarios.begin(), scenarios.end(), rng);
+
+    struct Outcome
+    {
+        Tick runtime = 0;
+        bool correct = false;
+        std::string stats;
+    };
+    auto run = [](const Scenario &sc) {
+        Outcome out;
+        auto observe = [&out](System &sys) {
+            std::ostringstream os;
+            sys.stats().dump(os);
+            out.stats = os.str();
+        };
+        SystemConfig base;
+        base.mode = sc.mode;
+        if (sc.l2KiB != 0)
+            base.l2.sizeBytes = sc.l2KiB * 1024;
+        if (sc.l3KiB != 0)
+            base.l3.sizeBytes = sc.l3KiB * 1024;
+        base.observer = observe;
+        WorkloadParams p;
+        std::string err;
+        EXPECT_TRUE(resolveParams(*sc.w, p, err)) << err;
+        const AppResult res = runWorkload(*sc.w, p, base);
+        out.runtime = res.runtime;
+        out.correct = res.correct;
+        return out;
+    };
+
+    std::vector<Outcome> warm;
+    LeaseStats leases;
+    std::thread([&] {
+        for (const Scenario &sc : scenarios)
+            warm.push_back(run(sc));
+        leases = leaseStats();
+    }).join();
+    EXPECT_GE(leases.total, scenarios.size());
+    EXPECT_EQ(leases.warm, leases.total - 1);
+
+    ASSERT_EQ(warm.size(), scenarios.size());
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        const Scenario &sc = scenarios[i];
+        const std::string name = sc.w->name + "/" +
+                                 systemModeName(sc.mode) + " l2=" +
+                                 std::to_string(sc.l2KiB) + " l3=" +
+                                 std::to_string(sc.l3KiB);
+        Outcome cold;
+        std::thread([&] { cold = run(sc); }).join();
+        EXPECT_TRUE(cold.correct) << name;
+        EXPECT_TRUE(warm[i].correct) << name;
+        EXPECT_EQ(warm[i].runtime, cold.runtime) << name;
+        EXPECT_EQ(warm[i].stats, cold.stats) << name;
+    }
+}
+
+TEST(WarmStart, LeaseAfterAPanickingRebuildIsWarmAndCorrect)
+{
+    // A shape the hardware cannot take (3 L2 ways: 170 sets) panics in
+    // build(). The slot stays free, so the next lease rebuilds the same
+    // System from its half-built state and runs like a cold one.
+    const Workload *w = findWorkload("tangent");
+    ASSERT_NE(w, nullptr);
+    WorkloadParams p;
+    std::string err;
+    ASSERT_TRUE(resolveParams(*w, p, err)) << err;
+    SystemConfig bad;
+    bad.l2.ways = 3;
+    AppResult before, after;
+    LeaseStats leases;
+    std::thread([&] {
+        before = runWorkload(*w, p, SystemConfig{});
+        EXPECT_THROW(SystemLease lease(bad), SimPanic);
+        after = runWorkload(*w, p, SystemConfig{});
+        leases = leaseStats();
+    }).join();
+    // Cold, panicked (not counted warm), warm.
+    EXPECT_EQ(leases.total, 3u);
+    EXPECT_EQ(leases.warm, 1u);
+    EXPECT_TRUE(after.correct);
+    EXPECT_EQ(before.runtime, after.runtime);
 }
 
 TEST(Apps, ProblemSizeScalesRuntime)

@@ -2,7 +2,8 @@
  * @file
  * System-level tests of the Duet Adapter: accelerator installation,
  * shadow/normal soft registers (one-shot read replies, pops dropped by
- * an accelerator reset), memory hubs + proxy cache coherence, soft
+ * an accelerator reset), accelerator threads that outlive another
+ * System's teardown, memory hubs + proxy cache coherence, soft
  * caches with forwarded invalidations, the TLB fault flow, exception
  * handling (parity, timeout), and FPSoC-mode downgrades.
  */
@@ -406,8 +407,8 @@ TEST(RegFile, PopParkedAcrossAcceleratorResetIsNeverResumed)
     // An accelerator thread parked in pop() when software resets the
     // accelerator (ctrl_reg::kReset) stays parked: the reset drops the
     // parked op, so data written afterwards queues instead of resuming
-    // it. The warm System::reset and the destruction that follow
-    // reclaim the parked frame.
+    // it. The System::reset and the destruction that follow reclaim the
+    // parked frame.
     const SystemConfig cfg = smallDuet();
     System sys(cfg);
     unsigned resumed = 0;
@@ -428,7 +429,7 @@ TEST(RegFile, PopParkedAcrossAcceleratorResetIsNeverResumed)
     ASSERT_NE(sys.adapter().regs(), nullptr);
     EXPECT_TRUE(sys.adapter().regs()->hasData(0)); // queued, not popped
 
-    // The warm-started system runs a fresh accelerator normally.
+    // The rebuilt system runs a fresh accelerator normally.
     sys.reset(cfg);
     ASSERT_TRUE(sys.installAccel(echoImage()));
     std::uint64_t got = 0;
@@ -439,6 +440,28 @@ TEST(RegFile, PopParkedAcrossAcceleratorResetIsNeverResumed)
     sys.run();
     EXPECT_EQ(got, 42u);
     EXPECT_EQ(resumed, 0u);
+}
+
+TEST(MultiSystem, AnotherSystemsTeardownKeepsThisOnesParkedThreads)
+{
+    // Each System reclaims only the coroutine frames spawned on it.
+    // Building, resetting and destroying a second System must leave the
+    // first one's accelerator loop, parked in pop(), alive to resume.
+    System a(smallDuet());
+    ASSERT_TRUE(a.installAccel(echoImage()));
+    {
+        System b(smallDuet());
+        ASSERT_TRUE(b.installAccel(echoImage()));
+        b.reset(smallDuet());
+        ASSERT_TRUE(b.installAccel(echoImage()));
+    }
+    std::uint64_t got = 0;
+    a.core(0).start([&](Core &c) -> CoTask<void> {
+        co_await c.mmioWrite(a.regAddr(0), 41);
+        got = co_await c.mmioRead(a.regAddr(1));
+    });
+    a.run();
+    EXPECT_EQ(got, 42u);
 }
 
 TEST(Fpsoc, DowngradedRegistersStillWork)

@@ -120,8 +120,6 @@ TEST(Scratchpad, ReadWriteAndBounds)
     EXPECT_EQ(sp.read(60, 4), 0xffffu);
     EXPECT_THROW(sp.read(64, 8), SimPanic);
     EXPECT_EQ(sp.bramBits(), 64u * 8u);
-    sp.clear();
-    EXPECT_EQ(sp.read(0), 0u);
 }
 
 TEST(Fabric, CapacityFromGeometry)

@@ -340,33 +340,6 @@ TEST_F(MeshFixture, ExpressMatchesHopByHopUnderContention)
     EXPECT_LT(express.eq.executed(), hopbyhop.eq.executed());
 }
 
-TEST_F(MeshFixture, ResetRestoresFreshMeshTiming)
-{
-    Mesh mesh(clk, MeshConfig{2, 1});
-    std::vector<Tick> arrivals;
-    mesh.registerEndpoint({1, TilePort::L3}, [&](const Message &) {
-        arrivals.push_back(eq.now());
-    });
-    // Saturate the east link so residual occupancy would be visible.
-    mesh.inject(mkMsg(MsgType::DataM, 0, 1));
-    mesh.inject(mkMsg(MsgType::DataM, 0, 1));
-    eq.run();
-    ASSERT_EQ(arrivals.size(), 2u);
-    mesh.reset();
-    EXPECT_EQ(mesh.delivered().value(), 0u);
-    EXPECT_EQ(mesh.flitCycles().value(), 0u);
-    EXPECT_EQ(mesh.inFlight(), 0u);
-    // Post-reset, a message sees a fresh mesh: the full one-hop DataM
-    // latency (7 cycles) from its injection tick, no residual queueing.
-    const Tick start = eq.now();
-    mesh.inject(mkMsg(MsgType::DataM, 0, 1));
-    eq.run();
-    ASSERT_EQ(arrivals.size(), 3u);
-    EXPECT_EQ(arrivals[2] - start, 7000u);
-    EXPECT_EQ(mesh.delivered().value(), 1u);
-    EXPECT_EQ(mesh.flitCycles().value(), 3u);
-}
-
 TEST_F(MeshFixture, UnregisteredEndpointPanics)
 {
     Mesh mesh(clk, MeshConfig{2, 1});

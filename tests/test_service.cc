@@ -244,6 +244,38 @@ TEST(Validate, DefaultsResolveAndOverridesLayer)
     EXPECT_EQ(cfg.maxTicks, 1000 * kTicksPerUs);
 }
 
+TEST(Validate, UnbuildableShapeInTheBaseConfigIsRejected)
+{
+    // The CLI layers --l2-ways/--l3-kib/--cpu-mhz onto the base config
+    // before validation, so a shape the hardware cannot be built with
+    // must be caught there too, not only in the request's own fields.
+    SweepScenario sc;
+    SystemConfig cfg;
+    std::string err;
+    ScenarioRequest req;
+    req.workload = "tangent";
+
+    SystemConfig base;
+    base.l2.ways = 3;
+    EXPECT_FALSE(validateRequest(req, base, sc, cfg, err));
+    EXPECT_NE(err.find("l2_ways 3"), std::string::npos) << err;
+
+    base = SystemConfig{};
+    base.l3.sizeBytes = 3 * 1024;
+    EXPECT_FALSE(validateRequest(req, base, sc, cfg, err));
+    EXPECT_NE(err.find("l3_kib 3"), std::string::npos) << err;
+
+    base = SystemConfig{};
+    base.cpuFreqMhz = 5000000;
+    EXPECT_FALSE(validateRequest(req, base, sc, cfg, err));
+    EXPECT_NE(err.find("cpu_mhz 5000000"), std::string::npos) << err;
+
+    // The fastest clock with a whole-tick period still builds.
+    base = SystemConfig{};
+    base.cpuFreqMhz = 1000000;
+    EXPECT_TRUE(validateRequest(req, base, sc, cfg, err)) << err;
+}
+
 // ------------------------- service scheduling -------------------------
 
 /** Test seam: a worker body that crashes or hangs on magic sizes (the
@@ -326,6 +358,57 @@ TEST(Service, InvalidRequestRespondsImmediatelyAndPoolSurvives)
     EXPECT_EQ(sum.failed, 1u);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[1].status, ResponseStatus::Ok);
+}
+
+TEST(Service, UnbuildableCacheOrClockShapeIsInvalidAndNoWorkerDies)
+{
+    // A cache whose set count (capacity / 16 B line / ways) is not a
+    // power of two, or a clock above 1,000,000 MHz, panics while the
+    // System is built. Validation answers them Invalid, naming the
+    // field, before any worker runs them. The ladder's l2_kib/l3_kib
+    // are applied only inside the worker, so they are judged as the
+    // effective capacity.
+    SystemConfig base;
+    ScenarioService::Options opts;
+    opts.jobs = 1;
+    std::map<std::string, ScenarioResponse> got;
+    ScenarioService svc(base, opts, [&](const ScenarioResponse &resp) {
+        got[resp.id] = resp;
+    });
+    auto tangent = [](const char *id) {
+        ScenarioRequest req;
+        req.id = id;
+        req.workload = "tangent";
+        return req;
+    };
+    // Each request's id is the field and value its message must name.
+    const std::pair<const char *, void (*)(ScenarioRequest &)> bad[] = {
+        {"l2_ways 3", [](ScenarioRequest &r) { r.l2Ways = 3; }},
+        {"l3_ways 3", [](ScenarioRequest &r) { r.l3Ways = 3; }},
+        {"l2_kib 12", [](ScenarioRequest &r) { r.l2KiB = 12; }},
+        {"l3_kib 3", [](ScenarioRequest &r) { r.l3KiB = 3; }},
+        {"cpu_mhz 5000000",
+         [](ScenarioRequest &r) { r.cpuFreqMhz = 5000000; }},
+        {"fpga_mhz 2000000",
+         [](ScenarioRequest &r) { r.fpgaFreqMhz = 2000000; }},
+    };
+    for (const auto &[field, apply] : bad) {
+        ScenarioRequest req = tangent(field);
+        apply(req);
+        svc.submit(req);
+        ASSERT_EQ(got.count(field), 1u) << field; // answered before a pump
+        EXPECT_EQ(got[field].status, ResponseStatus::Invalid) << field;
+        EXPECT_NE(got[field].row.error.find(field), std::string::npos)
+            << got[field].row.error;
+    }
+
+    ScenarioRequest good = tangent("good");
+    good.l3KiB = 256; // a ladder rung with a power-of-two set count
+    svc.submit(good);
+    const ScenarioService::Summary sum = svc.drain();
+    EXPECT_EQ(sum.served, 1u);
+    EXPECT_EQ(sum.failed, std::size(bad));
+    EXPECT_EQ(got["good"].status, ResponseStatus::Ok);
 }
 
 TEST(Service, CrashingScenarioFailsAloneAndServiceKeepsServing)
