@@ -11,6 +11,7 @@
 
 #include "mem/addr.hh"
 #include "mem/functional_mem.hh"
+#include "sim/flat_table.hh"
 #include "sim/inline_function.hh"
 #include "sim/latency_trace.hh"
 #include "sim/types.hh"
@@ -39,6 +40,20 @@ lineStateName(LineState s)
     }
     return "?";
 }
+
+/** FlatTable hash for line-aligned keys: the line number itself, so
+ *  consecutive lines are consecutive multiplier inputs. */
+struct LineHash
+{
+    constexpr std::uint64_t operator()(Addr la) const { return lineNumber(la); }
+};
+
+/** No line-aligned address equals this: the empty key of a LineTable. */
+constexpr Addr kNoLine = ~Addr{0};
+
+/** A FlatTable keyed by line-aligned address. */
+template <typename Value>
+using LineTable = FlatTable<Addr, Value, kNoLine, LineHash>;
 
 /**
  * A processor-side (or eFPGA-side, for the Proxy Cache) request into a

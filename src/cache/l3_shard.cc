@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/trace.hh"
 
 namespace duet
 {
@@ -16,68 +17,23 @@ L3Shard::L3Shard(ClockDomain &clk, std::string name,
 {
 }
 
-L3Shard::DirMap::DirMap()
-    : slots_(1024, {kEmpty, 0}), mask_(slots_.size() - 1)
-{
-}
-
-std::size_t
-L3Shard::DirMap::slotOf(Addr la) const
-{
-    // Fibonacci multiply-shift over the line number; the high product
-    // bits spread the sequential line addresses workloads generate.
-    const std::uint64_t h = (la >> 6) * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h >> 32) & mask_;
-}
-
-void
-L3Shard::DirMap::grow()
-{
-    std::vector<std::pair<Addr, std::uint32_t>> old(slots_.size() * 2,
-                                                    {kEmpty, 0});
-    old.swap(slots_);
-    mask_ = slots_.size() - 1;
-    for (const auto &[key, idx] : old) {
-        if (key == kEmpty)
-            continue;
-        std::size_t s = slotOf(key);
-        while (slots_[s].first != kEmpty)
-            s = (s + 1) & mask_;
-        slots_[s] = {key, idx};
-    }
-}
-
 L3Shard::DirEntry &
 L3Shard::DirMap::operator[](Addr la)
 {
-    std::size_t s = slotOf(la);
-    while (slots_[s].first != kEmpty) {
-        if (slots_[s].first == la)
-            return entries_[slots_[s].second];
-        s = (s + 1) & mask_;
-    }
-    // Miss: create. Grow first at 1/2 load so probe runs stay short
-    // (the insertion slot may move, so re-probe after).
-    if (entries_.size() * 2 >= slots_.size()) {
-        grow();
-        s = slotOf(la);
-        while (slots_[s].first != kEmpty)
-            s = (s + 1) & mask_;
-    }
-    slots_[s] = {la, static_cast<std::uint32_t>(entries_.size())};
-    return entries_.emplace_back();
+    if (const std::uint32_t *n = index_.find(la))
+        return at(*n);
+    const auto n = static_cast<std::uint32_t>(index_.size());
+    if (n % kChunk == 0)
+        chunks_.push_back(std::make_unique<DirEntry[]>(kChunk));
+    index_.insert(la, n);
+    return at(n);
 }
 
 const L3Shard::DirEntry *
 L3Shard::DirMap::find(Addr la) const
 {
-    std::size_t s = slotOf(la);
-    while (slots_[s].first != kEmpty) {
-        if (slots_[s].first == la)
-            return &entries_[slots_[s].second];
-        s = (s + 1) & mask_;
-    }
-    return nullptr;
+    const std::uint32_t *n = index_.find(la);
+    return n ? &at(*n) : nullptr;
 }
 
 void
@@ -101,7 +57,7 @@ L3Shard::holders(Addr line_addr) const
         return {};
     if (e->state == DirState::EM)
         return {e->owner};
-    return e->sharers;
+    return {e->sharers, e->sharers + e->numSharers};
 }
 
 bool
@@ -133,12 +89,12 @@ L3Shard::receive(const Message &msg)
     Tick done = start + clk_.cyclesToTicks(params_.dirLatency);
     Tick arrival = clk_.eventQueue().now();
     clk_.eventQueue().schedule(done, [this, msg, arrival] {
+        obs::profClaim("l3");
         if (msg.trace) {
             msg.trace->add(LatencyTrace::Cat::FastCache,
                            clk_.eventQueue().now() - arrival);
         }
-        const Addr la = lineAlign(msg.addr);
-        DirEntry &e = dir_[la];
+        DirEntry &e = dir_[lineAlign(msg.addr)];
         switch (msg.type) {
           case MsgType::InvAck:
           case MsgType::RecallAckData:
@@ -148,20 +104,36 @@ L3Shard::receive(const Message &msg)
           default:
             break;
         }
-        // A new request: queue it if the line is mid-transaction.
-        if (e.busy) {
-            e.pending.push_back(msg);
-            return;
-        }
-        startTxn(msg);
+        // A new request joins the line's FIFO and is served at once
+        // unless the line is mid-transaction.
+        enqueue(e, msg);
+        if (!e.busy)
+            startTxn(e);
     });
 }
 
 void
-L3Shard::startTxn(const Message &msg)
+L3Shard::enqueue(DirEntry &e, const Message &msg)
 {
-    const Addr la = lineAlign(msg.addr);
-    DirEntry &e = dir_[la];
+    std::uint32_t n = freeNodes_;
+    if (n != kNil) {
+        freeNodes_ = pool_[n].next;
+        pool_[n] = PoolNode{msg, kNil};
+    } else {
+        n = static_cast<std::uint32_t>(pool_.size());
+        pool_.push_back(PoolNode{msg, kNil});
+    }
+    if (e.head == kNil)
+        e.head = n;
+    else
+        pool_[e.tail].next = n;
+    e.tail = n;
+}
+
+void
+L3Shard::startTxn(DirEntry &e)
+{
+    const Message msg = pool_[e.head].msg;
     requests.inc();
     e.busy = true;
     switch (msg.type) {
@@ -173,6 +145,14 @@ L3Shard::startTxn(const Message &msg)
       default:
         panic(name_ + ": unexpected request " + msgTypeName(msg.type));
     }
+}
+
+void
+L3Shard::addSharer(DirEntry &e, std::uint16_t tile)
+{
+    DUET_ASSERT(tile < kMaxTiles && e.numSharers < kMaxTiles,
+                "directory sharer list overflow");
+    e.sharers[e.numSharers++] = static_cast<std::uint8_t>(tile);
 }
 
 Tick
@@ -195,7 +175,8 @@ L3Shard::arrayLatency(Addr line_addr)
 }
 
 void
-L3Shard::sendData(MsgType t, const Message &req, bool from_mem_path)
+L3Shard::sendData(DirEntry &e, MsgType t, const Message &req,
+                  bool from_mem_path)
 {
     const Addr la = lineAlign(req.addr);
     Tick extra = from_mem_path ? arrayLatency(la) : 0;
@@ -210,9 +191,10 @@ L3Shard::sendData(MsgType t, const Message &req, bool from_mem_path)
     m.trace = req.trace;
     // The line stays busy until the response is on the wire so a queued
     // request cannot let a recall overtake this data message.
-    clk_.eventQueue().scheduleAfter(extra, [this, m, la] {
+    clk_.eventQueue().scheduleAfter(extra, [this, m, &e] {
+        obs::profClaim("l3");
         send_(m);
-        finishTxn(dir_[la], la);
+        finishTxn(e);
     });
 }
 
@@ -248,16 +230,15 @@ L3Shard::handleGetS(DirEntry &e, const Message &msg)
       case DirState::U:
         e.state = DirState::EM;
         e.owner = msg.src.tile;
-        sendData(MsgType::DataE, msg, true);
+        sendData(e, MsgType::DataE, msg, true);
         return;
       case DirState::S:
-        e.sharers.push_back(msg.src.tile);
-        sendData(MsgType::DataS, msg, true);
+        addSharer(e, msg.src.tile);
+        sendData(e, MsgType::DataS, msg, true);
         return;
       case DirState::EM:
         simAssert(e.owner != msg.src.tile,
                   name_ + ": owner re-requested GetS");
-        e.cur = msg;
         sendRecalls(e, MsgType::RecallS, la, msg.trace);
         return;
     }
@@ -271,33 +252,32 @@ L3Shard::handleGetM(DirEntry &e, const Message &msg)
       case DirState::U:
         e.state = DirState::EM;
         e.owner = msg.src.tile;
-        sendData(MsgType::DataM, msg, true);
+        sendData(e, MsgType::DataM, msg, true);
         return;
       case DirState::S: {
         // Invalidate every sharer except the upgrading requester.
-        std::vector<std::uint16_t> to_inv;
-        for (std::uint16_t t : e.sharers)
-            if (t != msg.src.tile)
-                to_inv.push_back(t);
-        if (to_inv.empty()) {
-            e.state = DirState::EM;
-            e.owner = msg.src.tile;
-            e.sharers.clear();
-            sendData(MsgType::DataM, msg, true);
-            return;
-        }
-        e.cur = msg;
-        e.acksNeeded = static_cast<unsigned>(to_inv.size());
-        for (std::uint16_t t : to_inv) {
+        std::uint8_t invs = 0;
+        for (unsigned i = 0; i < e.numSharers; ++i) {
+            const std::uint16_t t = e.sharers[i];
+            if (t == msg.src.tile)
+                continue;
+            ++invs;
             invsSent.inc();
             sendSimple(MsgType::Inv, NodeId{t, TilePort::L2}, la, msg.trace);
         }
+        if (invs == 0) {
+            e.state = DirState::EM;
+            e.owner = msg.src.tile;
+            e.numSharers = 0;
+            sendData(e, MsgType::DataM, msg, true);
+            return;
+        }
+        e.acksNeeded = invs;
         return;
       }
       case DirState::EM:
         simAssert(e.owner != msg.src.tile,
                   name_ + ": owner re-requested GetM");
-        e.cur = msg;
         sendRecalls(e, MsgType::RecallM, la, msg.trace);
         return;
     }
@@ -309,16 +289,15 @@ L3Shard::handleAtomic(DirEntry &e, const Message &msg)
     const Addr la = lineAlign(msg.addr);
     atomics.inc();
     if (e.state == DirState::EM) {
-        e.cur = msg;
         sendRecalls(e, MsgType::RecallM, la, msg.trace);
         return;
     }
-    if (e.state == DirState::S && !e.sharers.empty()) {
-        e.cur = msg;
-        e.acksNeeded = static_cast<unsigned>(e.sharers.size());
-        for (std::uint16_t t : e.sharers) {
+    if (e.state == DirState::S && e.numSharers != 0) {
+        e.acksNeeded = e.numSharers;
+        for (unsigned i = 0; i < e.numSharers; ++i) {
             invsSent.inc();
-            sendSimple(MsgType::Inv, NodeId{t, TilePort::L2}, la, msg.trace);
+            sendSimple(MsgType::Inv, NodeId{e.sharers[i], TilePort::L2}, la,
+                       msg.trace);
         }
         return;
     }
@@ -336,9 +315,10 @@ L3Shard::handleAtomic(DirEntry &e, const Message &msg)
     resp.value = old;
     resp.txnId = msg.txnId;
     resp.trace = msg.trace;
-    clk_.eventQueue().scheduleAfter(extra, [this, resp, la] {
+    clk_.eventQueue().scheduleAfter(extra, [this, resp, &e] {
+        obs::profClaim("l3");
         send_(resp);
-        finishTxn(dir_[la], la);
+        finishTxn(e);
     });
 }
 
@@ -363,17 +343,17 @@ L3Shard::handlePut(DirEntry &e, const Message &msg)
             // Clean eviction of an E-state line by its owner.
             e.state = DirState::U;
         } else if (e.state == DirState::S) {
-            auto it = std::find(e.sharers.begin(), e.sharers.end(),
-                                msg.src.tile);
-            if (it != e.sharers.end()) {
-                e.sharers.erase(it);
-                if (e.sharers.empty())
+            std::uint8_t *end = e.sharers + e.numSharers;
+            std::uint8_t *it = std::find(e.sharers, end, msg.src.tile);
+            if (it != end) {
+                std::copy(it + 1, end, it); // keep arrival order
+                if (--e.numSharers == 0)
                     e.state = DirState::U;
             }
         }
     }
     sendSimple(MsgType::WbAck, msg.src, la, msg.trace);
-    finishTxn(e, la);
+    finishTxn(e);
 }
 
 void
@@ -397,29 +377,28 @@ L3Shard::handleTxnResp(DirEntry &e, const Message &msg)
         return;
 
     // All acks in: complete the pending request.
-    const Message req = e.cur;
+    const Message req = pool_[e.head].msg;
     const bool retained = msg.value2 == 1;
     switch (req.type) {
       case MsgType::GetS: {
         // Previous owner downgraded (retained => sharer), requester joins.
-        std::uint16_t old_owner = e.owner;
-        e.sharers.clear();
+        e.numSharers = 0;
         if (retained)
-            e.sharers.push_back(old_owner);
-        e.sharers.push_back(req.src.tile);
+            addSharer(e, e.owner);
+        addSharer(e, req.src.tile);
         e.state = DirState::S;
-        sendData(MsgType::DataS, req, false);
+        sendData(e, MsgType::DataS, req, false);
         break;
       }
       case MsgType::GetM: {
-        e.sharers.clear();
+        e.numSharers = 0;
         e.state = DirState::EM;
         e.owner = req.src.tile;
-        sendData(MsgType::DataM, req, false);
+        sendData(e, MsgType::DataM, req, false);
         break;
       }
       case MsgType::Atomic: {
-        e.sharers.clear();
+        e.numSharers = 0;
         e.state = DirState::U;
         std::uint64_t old =
             mem_.amo(req.amoOp, req.addr, req.size, req.value, req.value2);
@@ -432,7 +411,7 @@ L3Shard::handleTxnResp(DirEntry &e, const Message &msg)
         resp.txnId = req.txnId;
         resp.trace = req.trace;
         send_(resp);
-        finishTxn(e, la);
+        finishTxn(e);
         break;
       }
       default:
@@ -441,23 +420,27 @@ L3Shard::handleTxnResp(DirEntry &e, const Message &msg)
 }
 
 void
-L3Shard::finishTxn(DirEntry &e, Addr line_addr)
+L3Shard::finishTxn(DirEntry &e)
 {
     simAssert(e.busy, name_ + ": finishing idle txn");
     e.acksNeeded = 0;
-    if (e.pending.empty()) {
+    // Retire the served request; its pool node joins the free list.
+    const std::uint32_t done_node = e.head;
+    e.head = pool_[done_node].next;
+    pool_[done_node].next = freeNodes_;
+    freeNodes_ = done_node;
+    if (e.head == kNil) {
+        e.tail = kNil;
         e.busy = false;
         return;
     }
     // Keep the line busy while the drained request traverses the pipeline
     // so a newly arriving request cannot jump the queue.
-    Message next = e.pending.front();
-    e.pending.pop_front();
     Tick start = startOp();
     Tick done = start + clk_.cyclesToTicks(params_.dirLatency);
-    clk_.eventQueue().schedule(done, [this, next, line_addr] {
-        dir_[line_addr].busy = false;
-        startTxn(next);
+    clk_.eventQueue().schedule(done, [this, &e] {
+        obs::profClaim("l3");
+        startTxn(e);
     });
 }
 

@@ -16,8 +16,9 @@
 #define DUET_CACHE_L3_SHARD_HH
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -63,6 +64,10 @@ class L3Shard
 
     void registerStats(StatRegistry &reg) const;
 
+    /** Sharer-list capacity of a directory line, and so the largest
+     *  System: System::build() panics past it. */
+    static constexpr unsigned kMaxTiles = 64;
+
   private:
     enum class DirState : std::uint8_t
     {
@@ -71,31 +76,42 @@ class L3Shard
         EM, ///< exclusively owned by one private cache
     };
 
+    /// Message-pool index meaning "none".
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /**
+     * One directory line. It owns no memory: a spilling workload creates
+     * tens of thousands of lines, and building or tearing them down
+     * costs no allocator call. A busy line's requests form a FIFO in the
+     * shard's message pool, from head (the request in service) to tail
+     * (the newest queued one).
+     */
     struct DirEntry
     {
         DirState state = DirState::U;
-        std::vector<std::uint16_t> sharers; ///< tile ids (port = L2)
-        std::uint16_t owner = 0;
         bool busy = false;
-        Message cur;              ///< request being served while busy
-        unsigned acksNeeded = 0;  ///< outstanding InvAcks
-        std::deque<Message> pending;
+        std::uint8_t acksNeeded = 0; ///< outstanding InvAcks / RecallAcks
+        std::uint8_t numSharers = 0;
+        std::uint16_t owner = 0;     ///< E/M owner tile
+        /// Sharer tiles in arrival order. The Inv fan-out walks them in
+        /// this order, and that order decides which same-tick mesh link
+        /// claim wins, so a tile-ordered bitmask would change timing.
+        std::uint8_t sharers[kMaxTiles] = {};
+        std::uint32_t head = kNil; ///< request in service (busy lines)
+        std::uint32_t tail = kNil; ///< newest queued request
     };
+    static_assert(std::is_trivially_destructible_v<DirEntry>);
 
     /**
-     * Directory index: line address -> DirEntry. Entries are created on
-     * first touch and never erased, and every receive() is one lookup, so
-     * this sits on the coherence hot path — std::unordered_map's
-     * prime-modulo hashing was the single largest cost in scenario
-     * profiles. A power-of-two open-addressing table (multiply-shift
-     * hash, linear probing) over pointer-stable deque storage replaces
-     * it: references handed out stay valid across table growth.
+     * Directory index: line address -> DirEntry, created on first touch
+     * and never erased. A LineTable maps each line to its entry number;
+     * the entries sit in fixed-size chunks that never move, so a
+     * DirEntry reference (and the pointers that scheduled events
+     * capture) stays valid while the index grows.
      */
     class DirMap
     {
       public:
-        DirMap();
-
         /// Get-or-create the entry for line-aligned address @p la.
         DirEntry &operator[](Addr la);
 
@@ -103,23 +119,33 @@ class L3Shard
         const DirEntry *find(Addr la) const;
 
       private:
-        /// Occupied-slot marker: line-aligned keys can never equal it.
-        static constexpr Addr kEmpty = ~Addr{0};
+        static constexpr std::uint32_t kChunk = 256;
 
-        std::size_t slotOf(Addr la) const;
-        void grow();
+        DirEntry &
+        at(std::uint32_t n) const
+        {
+            return chunks_[n / kChunk][n % kChunk];
+        }
 
-        /// Open-addressing table of {key, index into entries_}.
-        std::vector<std::pair<Addr, std::uint32_t>> slots_;
-        std::deque<DirEntry> entries_;
-        std::size_t mask_;
+        LineTable<std::uint32_t> index_;
+        std::vector<std::unique_ptr<DirEntry[]>> chunks_;
+    };
+
+    /** A queued request and the next one in its line's FIFO. */
+    struct PoolNode
+    {
+        Message msg;
+        std::uint32_t next = kNil;
     };
 
     /** Serialize on the shard pipeline; returns operation start tick. */
     Tick startOp();
 
-    /** Begin serving request @p msg (the line must not be busy). */
-    void startTxn(const Message &msg);
+    /** Append @p msg to @p e's request FIFO. */
+    void enqueue(DirEntry &e, const Message &msg);
+
+    /** Begin serving @p e's head request. */
+    void startTxn(DirEntry &e);
 
     void handleGetS(DirEntry &e, const Message &msg);
     void handleGetM(DirEntry &e, const Message &msg);
@@ -130,13 +156,14 @@ class L3Shard
     void handleTxnResp(DirEntry &e, const Message &msg);
 
     /** Finish the current transaction and drain one queued request. */
-    void finishTxn(DirEntry &e, Addr line_addr);
+    void finishTxn(DirEntry &e);
 
     /**
-     * Send a data response for @p line_addr, paying the L3-array / DRAM
-     * latency. @p touch_dirty marks the L3 copy as freshly written.
+     * Send a data response to @p req, paying the L3-array / DRAM latency
+     * when @p from_mem_path, then finish @p e's transaction.
      */
-    void sendData(MsgType t, const Message &req, bool from_mem_path);
+    void sendData(DirEntry &e, MsgType t, const Message &req,
+                  bool from_mem_path);
 
     void sendSimple(MsgType t, NodeId dst, Addr addr, LatencyTrace *trace,
                     std::uint64_t value = 0, std::uint32_t txn_id = 0);
@@ -148,6 +175,9 @@ class L3Shard
     void sendRecalls(DirEntry &e, MsgType t, Addr line_addr,
                      LatencyTrace *trace);
 
+    /** Append @p tile to @p e's sharer list. */
+    static void addSharer(DirEntry &e, std::uint16_t tile);
+
     ClockDomain &clk_;
     std::string name_;
     L3ShardParams params_;
@@ -157,6 +187,8 @@ class L3Shard
 
     CacheArray<L3Line> array_;
     DirMap dir_;
+    std::vector<PoolNode> pool_;      ///< every line's request FIFO
+    std::uint32_t freeNodes_ = kNil;  ///< free list through PoolNode::next
     Tick busyUntil_ = 0;
     Tick memBusyUntil_ = 0;
 };

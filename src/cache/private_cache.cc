@@ -1,5 +1,7 @@
 #include "cache/private_cache.hh"
 
+#include <optional>
+
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -13,7 +15,8 @@ PrivateCache::PrivateCache(ClockDomain &clk, std::string name,
                            LatencyTrace::Cat domain_cat)
     : clk_(clk), name_(std::move(name)), params_(params), mem_(mem),
       self_(self), homeOf_(std::move(home_of)), domainCat_(domain_cat),
-      array_(params.sizeBytes / kLineBytes / params.ways, params.ways)
+      array_(params.sizeBytes / kLineBytes / params.ways, params.ways),
+      mshrs_(params.mshrs)
 {
 }
 
@@ -25,6 +28,7 @@ PrivateCache::registerStats(StatRegistry &reg) const
     reg.registerCounter(name_ + ".evictions", &evictions);
     reg.registerCounter(name_ + ".invsReceived", &invsReceived);
     reg.registerCounter(name_ + ".recallsReceived", &recallsReceived);
+    reg.registerCounter(name_ + ".spuriousInvs", &spuriousInvs);
     reg.registerCounter(name_ + ".writebacks", &writebacks);
     reg.registerCounter(name_ + ".amosForwarded", &amosForwarded);
 }
@@ -111,7 +115,7 @@ PrivateCache::process(CacheReq req, Tick arrival)
         m.trace = req.trace;
         // Park the request (it is move-only now — the message above was
         // built from it first) until the AtomicResp comes back.
-        outstandingAmos_.emplace(id, std::move(req));
+        outstandingAmos_.insert(id, std::move(req));
         send_(m);
         return;
     }
@@ -135,12 +139,11 @@ PrivateCache::process(CacheReq req, Tick arrival)
     }
 
     // Miss (or upgrade). Coalesce into an existing MSHR if present.
-    auto it = mshrs_.find(la);
-    if (it != mshrs_.end()) {
-        it->second.waiting.push_back(std::move(req));
+    if (Mshr *m = findMshr(la)) {
+        m->waiting.push_back(std::move(req));
         return;
     }
-    if (mshrs_.size() >= params_.mshrs) {
+    if (mshrsBusy_ >= params_.mshrs) {
         stalled_.push_back(std::move(req));
         return;
     }
@@ -153,8 +156,9 @@ PrivateCache::process(CacheReq req, Tick arrival)
                         clk_.eventQueue().now());
         }
     }
-    Mshr &mshr = mshrs_[la];
-    mshr.wantM = is_store;
+    Mshr &mshr = *findMshr(kNoLine); // a free slot
+    mshr.line = la;
+    ++mshrsBusy_;
     mshr.waiting.push_back(std::move(req));
     sendToHome(is_store ? MsgType::GetM : MsgType::GetS, la,
                mshr.waiting.back().trace);
@@ -224,7 +228,7 @@ PrivateCache::handle(const Message &msg)
             if (invHook_)
                 invHook_(la, line->meta);
             array_.invalidate(*line);
-        } else if (!evictBuf_.count(la)) {
+        } else if (!evictBuf_.contains(la)) {
             spuriousInvs.inc();
         }
         send_(ack);
@@ -254,9 +258,8 @@ PrivateCache::handle(const Message &msg)
                 array_.invalidate(*line);
             }
         } else {
-            auto it = evictBuf_.find(la);
-            if (it != evictBuf_.end())
-                dirty = it->second.dirty;
+            if (const EvictEntry *ev = evictBuf_.find(la))
+                dirty = ev->dirty;
             // Line already gone; never retained.
         }
         ack.type = dirty ? MsgType::RecallAckData : MsgType::RecallAckClean;
@@ -272,17 +275,14 @@ PrivateCache::handle(const Message &msg)
         return;
 
       case MsgType::WbAck:
-        evictBuf_.erase(la);
+        evictBuf_.take(la);
         return;
 
       case MsgType::AtomicResp: {
-        auto it = outstandingAmos_.find(msg.txnId);
-        simAssert(it != outstandingAmos_.end(),
-                  name_ + ": AtomicResp for unknown txn");
-        CacheReq req = std::move(it->second);
-        outstandingAmos_.erase(it);
-        if (req.done)
-            req.done(msg.value);
+        std::optional<CacheReq> req = outstandingAmos_.take(msg.txnId);
+        simAssert(req.has_value(), name_ + ": AtomicResp for unknown txn");
+        if (req->done)
+            req->done(msg.value);
         return;
       }
 
@@ -301,10 +301,9 @@ PrivateCache::fill(const Message &msg)
         }
     }
     const Addr la = lineAlign(msg.addr);
-    auto it = mshrs_.find(la);
-    simAssert(it != mshrs_.end(), name_ + ": fill without MSHR");
-    std::vector<CacheReq> waiting = std::move(it->second.waiting);
-    mshrs_.erase(it);
+    Mshr *mshr = findMshr(la);
+    simAssert(mshr != nullptr, name_ + ": fill without MSHR");
+    std::vector<CacheReq> &waiting = mshr->waiting;
 
     // Upgrade in place if the line is already resident (S -> M); otherwise
     // allocate on fill, evicting the victim if valid.
@@ -348,6 +347,12 @@ PrivateCache::fill(const Message &msg)
             request(std::move(req)); // upgrade S->M
         }
     }
+    // Free the slot only now: the loop above only schedules (request()
+    // and the waiters' continuations never re-enter process()), and
+    // clear() keeps the vector's capacity for the slot's next miss.
+    waiting.clear();
+    mshr->line = kNoLine;
+    --mshrsBusy_;
     replayPending();
 }
 
@@ -356,10 +361,19 @@ PrivateCache::replayPending()
 {
     // Re-dispatch every stalled request; whatever still cannot allocate
     // an MSHR re-stalls (the pipeline serializes them at one per cycle).
-    std::deque<CacheReq> q;
-    q.swap(stalled_);
-    for (CacheReq &r : q)
+    replayScratch_.swap(stalled_);
+    for (CacheReq &r : replayScratch_)
         request(std::move(r));
+    replayScratch_.clear();
+}
+
+PrivateCache::Mshr *
+PrivateCache::findMshr(Addr line_addr)
+{
+    for (Mshr &m : mshrs_)
+        if (m.line == line_addr)
+            return &m;
+    return nullptr;
 }
 
 } // namespace duet

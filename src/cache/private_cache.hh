@@ -18,9 +18,7 @@
 #ifndef DUET_CACHE_PRIVATE_CACHE_HH
 #define DUET_CACHE_PRIVATE_CACHE_HH
 
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -87,7 +85,7 @@ class PrivateCache
     /** True if the line sits in the eviction buffer awaiting WbAck. */
     bool evicting(Addr addr) const
     {
-        return evictBuf_.count(lineAlign(addr)) != 0;
+        return evictBuf_.contains(lineAlign(addr));
     }
 
     const std::string &name() const { return name_; }
@@ -101,9 +99,11 @@ class PrivateCache
     void registerStats(StatRegistry &reg) const;
 
   private:
+    /** One MSHR slot. A free slot keeps its waiting vector's capacity,
+     *  so a warmed-up cache allocates nothing per miss. */
     struct Mshr
     {
-        bool wantM = false;             ///< GetM (vs GetS) outstanding
+        Addr line = kNoLine;            ///< kNoLine when the slot is free
         std::vector<CacheReq> waiting;  ///< replayed on fill
     };
 
@@ -129,6 +129,7 @@ class PrivateCache
     void evictLine(PrivateLine &line);
     void fill(const Message &msg);
     void replayPending();
+    Mshr *findMshr(Addr line_addr);
     void addTrace(LatencyTrace *t, Cycles cycles) const;
 
     ClockDomain &clk_;
@@ -142,10 +143,14 @@ class PrivateCache
     InvalidateHook invHook_;
 
     CacheArray<PrivateLine> array_;
-    std::unordered_map<Addr, Mshr> mshrs_;
-    std::unordered_map<Addr, EvictEntry> evictBuf_;
-    std::deque<CacheReq> stalled_; ///< requests waiting for a free MSHR
-    std::unordered_map<std::uint32_t, CacheReq> outstandingAmos_;
+    std::vector<Mshr> mshrs_;      ///< params.mshrs slots
+    unsigned mshrsBusy_ = 0;
+    LineTable<EvictEntry> evictBuf_;
+    std::vector<CacheReq> stalled_; ///< requests waiting for a free MSHR
+    /// replayPending()'s working list: it trades capacity with stalled_,
+    /// so a replay allocates nothing.
+    std::vector<CacheReq> replayScratch_;
+    FlatTable<std::uint32_t, CacheReq, 0> outstandingAmos_; ///< by txn id
     std::uint32_t nextTxnId_ = 1;
     Tick busyUntil_ = 0;
 };

@@ -140,9 +140,9 @@ Core::receive(const Message &msg)
 {
     simAssert(msg.type == MsgType::MmioResp,
               name_ + ": unexpected NoC message at core");
-    PendingValue<std::uint64_t> *op = pendingMmio_.take(msg.txnId);
-    simAssert(op != nullptr, name_ + ": stray MMIO response");
-    op->fulfill(msg.value);
+    auto op = pendingMmio_.take(msg.txnId);
+    simAssert(op.has_value(), name_ + ": stray MMIO response");
+    (*op)->fulfill(msg.value);
 }
 
 void

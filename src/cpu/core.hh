@@ -13,15 +13,14 @@
 #ifndef DUET_CPU_CORE_HH
 #define DUET_CPU_CORE_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "cache/l1_cache.hh"
 #include "cache/private_cache.hh"
 #include "noc/mesh.hh"
+#include "sim/flat_table.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
 
@@ -188,89 +187,6 @@ class Core
     void registerStats(StatRegistry &reg) const;
 
   private:
-    /**
-     * Pending-MMIO table: txnId -> in-flight MMIO op. MMIOs are
-     * strictly ordered (at most one outstanding per core, a handful
-     * system-wide), so a tiny open-addressed table with linear probing
-     * beats unordered_map's per-node allocations. Key 0 is the empty
-     * sentinel (txn ids start at 1); take() backward-shifts the probe
-     * chain closed, so there are no tombstones to accumulate.
-     */
-    class MmioTable
-    {
-      public:
-        MmioTable() : slots_(kInitSlots) {}
-
-        void
-        insert(std::uint32_t id, PendingValue<std::uint64_t> *op)
-        {
-            if ((size_ + 1) * 2 > slots_.size())
-                grow();
-            const std::size_t mask = slots_.size() - 1;
-            std::size_t i = id & mask;
-            while (slots_[i].key != 0) {
-                DUET_DCHECK(slots_[i].key != id, "duplicate MMIO txn id");
-                i = (i + 1) & mask;
-            }
-            slots_[i] = Entry{id, op};
-            ++size_;
-        }
-
-        /** Remove and return the op for @p id; nullptr if absent. */
-        PendingValue<std::uint64_t> *
-        take(std::uint32_t id)
-        {
-            const std::size_t mask = slots_.size() - 1;
-            std::size_t i = id & mask;
-            while (slots_[i].key != id) {
-                if (slots_[i].key == 0)
-                    return nullptr;
-                i = (i + 1) & mask;
-            }
-            PendingValue<std::uint64_t> *op = slots_[i].op;
-            // Close the probe chain by shifting later members back into
-            // the hole whenever their home slot permits it.
-            std::size_t hole = i;
-            for (std::size_t j = (i + 1) & mask; slots_[j].key != 0;
-                 j = (j + 1) & mask) {
-                const std::size_t home = slots_[j].key & mask;
-                if (((j - home) & mask) >= ((j - hole) & mask)) {
-                    slots_[hole] = slots_[j];
-                    hole = j;
-                }
-            }
-            slots_[hole] = Entry{};
-            --size_;
-            return op;
-        }
-
-        std::size_t size() const { return size_; }
-
-      private:
-        /// Starting capacity; always a power of two.
-        static constexpr std::size_t kInitSlots = 16;
-
-        struct Entry
-        {
-            std::uint32_t key = 0;
-            PendingValue<std::uint64_t> *op = nullptr;
-        };
-
-        void
-        grow()
-        {
-            std::vector<Entry> old = std::move(slots_);
-            slots_.assign(old.size() * 2, Entry{});
-            size_ = 0;
-            for (const Entry &e : old)
-                if (e.key != 0)
-                    insert(e.key, e.op);
-        }
-
-        std::vector<Entry> slots_;
-        std::size_t size_ = 0;
-    };
-
     ClockDomain &clk_;
     std::string name_;
     unsigned tile_;
@@ -279,7 +195,9 @@ class Core
     Mesh &mesh_;
     MmioRoute mmioRoute_;
     std::function<CoTask<void>(Core &, std::uint64_t)> irqHandler_;
-    MmioTable pendingMmio_;
+    /// In-flight MMIO ops by txn id (ids start at 1; 0 marks a free
+    /// slot). MMIOs are strictly ordered, so this holds a handful.
+    FlatTable<std::uint32_t, PendingValue<std::uint64_t> *, 0> pendingMmio_;
     std::uint32_t nextTxn_ = 1;
     bool finished_ = false;
     Tick finishTick_ = 0;

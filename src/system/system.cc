@@ -19,6 +19,11 @@ System::build()
     const unsigned adapter_tiles =
         has_fpga ? 1 + (cfg.numMemHubs > 0 ? cfg.numMemHubs - 1 : 0) : 0;
     numTiles_ = cfg.numCores + adapter_tiles;
+    if (numTiles_ > L3Shard::kMaxTiles) {
+        panic("System: " + std::to_string(numTiles_) + " tiles exceed the " +
+              std::to_string(L3Shard::kMaxTiles) +
+              "-tile directory sharer cap");
+    }
 
     clk_ = std::make_unique<ClockDomain>(eq_, "sys", cfg.cpuFreqMhz);
     fpgaClk_ = std::make_unique<ClockDomain>(eq_, "fpga", cfg.fpgaFreqMhz);

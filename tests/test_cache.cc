@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "cache/l1_cache.hh"
@@ -16,6 +17,7 @@
 #include "cache/private_cache.hh"
 #include "mem/page_table.hh"
 #include "noc/mesh.hh"
+#include "sim/stats.hh"
 #include "sim/task.hh"
 
 namespace duet
@@ -466,6 +468,37 @@ TEST(Coherence, MissLatencyIncludesDirectoryAndDram)
     EXPECT_GT(miss_latency, 80'000u);
 }
 
+TEST(Coherence, SharersKeepArrivalOrder)
+{
+    // The directory lists sharers in the order they joined, not in tile
+    // order: the Inv fan-out walks this list, and its order decides
+    // which same-tick mesh link claim wins.
+    PrivateCacheParams small;
+    small.sizeBytes = 2 * kLineBytes; // 2 sets x 1 way
+    small.ways = 1;
+    CacheSystem sys(3, small);
+    const Addr line = 0x0;
+    sys.load(2, line); // E at tile 2
+    sys.load(0, line); // recall: tile 2 keeps S, tile 0 joins
+    sys.load(1, line);
+    EXPECT_EQ(sys.homeOf(line).holders(line),
+              (std::vector<std::uint16_t>{2, 0, 1}));
+
+    sys.load(0, line + 2 * kLineBytes); // same set: tile 0 sends PutS
+    sys.eq.run();
+    EXPECT_EQ(sys.l2[0]->stateOf(line), LineState::I);
+    EXPECT_EQ(sys.homeOf(line).holders(line),
+              (std::vector<std::uint16_t>{2, 1}));
+}
+
+TEST(Coherence, SpuriousInvsIsRegistered)
+{
+    CacheSystem sys(1);
+    StatRegistry reg;
+    sys.l2[0]->registerStats(reg);
+    EXPECT_NE(reg.findCounter("l2.0.spuriousInvs"), nullptr);
+}
+
 /** Property test: random multicore traffic preserves coherence invariants
  *  and sequential semantics per address. */
 class CoherenceFuzz : public ::testing::TestWithParam<unsigned>
@@ -482,21 +515,32 @@ TEST_P(CoherenceFuzz, RandomTrafficKeepsInvariants)
     small.ways = 2;
     CacheSystem sys(tiles, small);
 
-    // Each core performs random ops over a small pool of lines. Each
+    // Each core performs random ops over a small pool of hot lines. Each
     // address's value is tagged (core, sequence) so any torn/stale write
     // is detectable as a violated per-address monotonicity at the end.
+    // Beside the hot pool runs a stream of cold lines, each touched
+    // once: it grows every shard's directory index while hot lines are
+    // mid-transaction with requests queued behind them, so no event
+    // may keep a reference that the growth would move.
     const unsigned kOpsPerCore = 300;
-    const Addr kPool = 16; // lines
+    const Addr kPool = 16;         // hot lines
+    const Addr kColdBase = 1024;   // first cold line
+    Addr cold_next = kColdBase;
+    std::set<Addr> touched; // line numbers
     std::vector<int> remaining(tiles, kOpsPerCore);
     std::uint64_t total_increments = 0;
 
     std::function<void(unsigned)> issue = [&](unsigned t) {
         if (remaining[t]-- <= 0)
             return;
-        std::uniform_int_distribution<int> kindDist(0, 9);
+        std::uniform_int_distribution<int> kindDist(0, 11);
         std::uniform_int_distribution<Addr> lineDist(0, kPool - 1);
         int k = kindDist(rng);
         Addr a = lineDist(rng) * kLineBytes;
+        if (k >= 10) {
+            a = cold_next++ * kLineBytes;
+            k = k == 10 ? 0 : 5; // a load or a store
+        }
         CacheReq r;
         r.size = 8;
         r.addr = a;
@@ -513,6 +557,7 @@ TEST_P(CoherenceFuzz, RandomTrafficKeepsInvariants)
             r.wdata = 1;
             ++total_increments;
         }
+        touched.insert(r.addr / kLineBytes);
         r.done = [&, t](std::uint64_t) { issue(t); };
         sys.l2[t]->request(std::move(r));
     };
@@ -520,9 +565,19 @@ TEST_P(CoherenceFuzz, RandomTrafficKeepsInvariants)
         issue(t);
     sys.eq.run();
 
-    // Invariant 1: single-writer — at most one cache in E/M per line, and
-    // no sharers coexist with an owner.
-    for (Addr line = 0; line <= kPool + 1; ++line) {
+    // Every touched line reached its home directory at least once, and
+    // directory entries are never erased. The index starts at 16 slots
+    // and doubles before passing 1/2 load, so 33 touched lines in a
+    // shard mean its index grew at least three times.
+    std::vector<unsigned> per_shard(tiles, 0);
+    for (Addr line : touched)
+        ++per_shard[line % tiles];
+    for (unsigned s = 0; s < tiles; ++s)
+        EXPECT_GE(per_shard[s], 33u) << "shard " << s;
+
+    for (Addr line : touched) {
+        // Invariant 1: single-writer — at most one cache in E/M per line,
+        // and no sharers coexist with an owner.
         Addr a = line * kLineBytes;
         unsigned owners = 0, sharers = 0;
         for (unsigned t = 0; t < tiles; ++t) {
@@ -540,16 +595,12 @@ TEST_P(CoherenceFuzz, RandomTrafficKeepsInvariants)
         if (sys.homeOf(a).isOwned(a)) {
             EXPECT_EQ(owners, 1u) << "line " << line;
         }
+        // Invariant 4: no transaction left dangling.
+        EXPECT_FALSE(sys.homeOf(a).isBusy(a)) << "line " << line;
     }
 
     // Invariant 3: the shared counter saw every AMO exactly once.
     EXPECT_EQ(sys.mem.read((kPool + 1) * kLineBytes, 8), total_increments);
-
-    // Invariant 4: no transaction left dangling.
-    for (unsigned t = 0; t < tiles; ++t)
-        for (Addr line = 0; line <= kPool + 1; ++line)
-            EXPECT_FALSE(sys.homeOf(line * kLineBytes)
-                             .isBusy(line * kLineBytes));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoherenceFuzz,

@@ -213,6 +213,18 @@ TEST(P1M0, RegisterOnlyAdapterWorks)
     EXPECT_EQ(got, 8u);
 }
 
+TEST(TileCap, SystemPastTheDirectorySharerCapPanics)
+{
+    // A directory line lists at most L3Shard::kMaxTiles sharers, so a
+    // larger System is refused at build time.
+    SystemConfig cfg;
+    cfg.mode = SystemMode::CpuOnly;
+    cfg.numCores = L3Shard::kMaxTiles;
+    EXPECT_NO_THROW(System{cfg});
+    cfg.numCores = L3Shard::kMaxTiles + 1;
+    EXPECT_THROW(System{cfg}, SimPanic);
+}
+
 TEST(ClockSweep, FrequencyChangesThroughMmioTakeEffect)
 {
     SystemConfig cfg;

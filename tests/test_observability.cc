@@ -251,6 +251,34 @@ TEST(Profiler, FirstClaimWinsAndReportIsValidJson)
     EXPECT_NE(doc.find("\"other\""), std::string::npos);
 }
 
+TEST(Profiler, DirectoryEventsClaimTheL3Component)
+{
+    // The L3 shard claims its scheduled events, so a CPU run's
+    // directory time shows up as "l3" instead of unclaimed "other".
+    ScenarioRequest req;
+    req.workload = "pdes";
+    req.mode = "cpu";
+    SystemConfig base;
+    SweepScenario sc;
+    SystemConfig cfg;
+    std::string err;
+    ASSERT_TRUE(validateRequest(req, base, sc, cfg, err)) << err;
+
+    Profiler prof;
+    obs::setProfiler(&prof);
+    const SweepRow row = runScenario(sc, cfg);
+    obs::setProfiler(nullptr);
+    EXPECT_TRUE(row.correct);
+
+    std::ostringstream os;
+    prof.write(os);
+    const std::string doc = os.str();
+    const std::string key = "{\"name\":\"l3\",\"events\":";
+    const std::size_t at = doc.find(key);
+    ASSERT_NE(at, std::string::npos) << doc;
+    EXPECT_GT(std::stoull(doc.substr(at + key.size())), 0u) << doc;
+}
+
 // ------------------------- histogram ----------------------------------
 
 TEST(Histogram, PercentileEdgeCases)

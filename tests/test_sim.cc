@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, clock domains,
- * coroutine tasks, stats, latency traces.
+ * coroutine tasks, stats, latency traces, the flat hash table.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <random>
 #include <vector>
 
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_table.hh"
 #include "sim/latency_trace.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -237,6 +241,73 @@ TEST(LatencyTrace, AccumulatesPerCategory)
     EXPECT_EQ(t.total(), 35u);
     t.reset();
     EXPECT_EQ(t.total(), 0u);
+}
+
+/** Sends every key to slot 0: the whole table is one probe run. */
+struct OneHomeHash
+{
+    std::uint64_t operator()(std::uint32_t) const { return 0; }
+};
+
+TEST(FlatTable, CollidingKeysSurviveInterleavedTakes)
+{
+    // Every key shares one home slot, so each take() from the middle of
+    // the run must backward-shift the later keys closed, across several
+    // doublings from 16 slots, without stranding any of them.
+    FlatTable<std::uint32_t, std::uint64_t, 0, OneHomeHash> t;
+    std::map<std::uint32_t, std::uint64_t> model;
+    std::mt19937 rng(7);
+    std::uint32_t next = 1;
+    for (int step = 0; step < 400; ++step) {
+        if (model.empty() || rng() % 3 != 0) {
+            t.insert(next, next * 10ull);
+            model[next] = next * 10ull;
+            ++next;
+        } else {
+            auto victim = model.begin();
+            std::advance(victim, rng() % model.size());
+            std::optional<std::uint64_t> v = t.take(victim->first);
+            ASSERT_TRUE(v.has_value()) << "key " << victim->first;
+            EXPECT_EQ(*v, victim->second);
+            model.erase(victim);
+        }
+        ASSERT_EQ(t.size(), model.size());
+    }
+    for (std::uint32_t k = 1; k < next; ++k) {
+        auto it = model.find(k);
+        const std::uint64_t *v = t.find(k);
+        if (it == model.end()) {
+            EXPECT_EQ(v, nullptr) << "taken key " << k << " still found";
+            EXPECT_FALSE(t.take(k).has_value());
+        } else {
+            ASSERT_NE(v, nullptr) << "surviving key " << k << " lost";
+            EXPECT_EQ(*v, it->second);
+        }
+    }
+
+    // Get-or-create agrees with find().
+    EXPECT_EQ(t[next], 0u);
+    t[next] = 5;
+    EXPECT_EQ(*t.find(next), 5u);
+    EXPECT_EQ(t.take(next), std::optional<std::uint64_t>(5));
+    EXPECT_FALSE(t.contains(next));
+}
+
+TEST(FlatTable, EmptyKeyIsNeverFound)
+{
+    // A stray id equal to the empty key (a response with txn id 0) must
+    // read as unknown, not hit a free slot and corrupt the count.
+    FlatTable<std::uint32_t, std::uint64_t, 0> t;
+    EXPECT_EQ(t.find(0), nullptr);
+    EXPECT_FALSE(t.take(0).has_value());
+    t.insert(1, 10);
+    t.insert(2, 20);
+    EXPECT_EQ(t.find(0), nullptr);
+    EXPECT_FALSE(t.contains(0));
+    EXPECT_FALSE(t.take(0).has_value());
+    EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(*t.find(1), 10u);
+    EXPECT_EQ(*t.find(2), 20u);
 }
 
 } // namespace

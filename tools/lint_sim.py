@@ -5,7 +5,7 @@ Run over one or more source roots (default: src/ next to this script):
 
     python3 tools/lint_sim.py src
 
-Rules (R1-R9):
+Rules (R1-R10):
 
   R1 fork-outside-executor   `fork(` may appear only in the process-pool
                              executor (src/sim/executor.cc). Everything
@@ -60,6 +60,18 @@ Rules (R1-R9):
                              the awaiting frame. A refcounted future
                              type costs an arena block per operation and
                              must not come back as a second one.
+  R10 no-node-container-cache
+                             std::deque, std::list, std::map, std::set,
+                             std::unordered_map and std::unordered_set
+                             (and their headers) are banned under
+                             src/cache/. Coherence state is created per
+                             line and per miss, and node containers
+                             allocate on construction or insert: a
+                             default-constructed deque per directory line
+                             once held most of a spilling run's memory.
+                             Use FlatTable/LineTable (sim/flat_table.hh,
+                             cache/coherence.hh), fixed arrays or vectors
+                             that keep their capacity.
 
 Run `python3 tools/lint_sim.py --selftest` to exercise every rule against
 built-in positive/negative fixtures (wired into ctest as lint_selftest).
@@ -132,6 +144,14 @@ TRACE_HOT_RE = re.compile(
 # type anywhere under src/ would be a second rendezvous primitive.
 RE_FUTURE = re.compile(r"\bFuture\s*<")
 FUTURE_RE = re.compile(r"^src/")
+# R10: node-based standard containers under src/cache/, by name or by
+# header. `std::set_union` and friends are not containers: the name must
+# end at a word boundary.
+NODE_CONTAINERS = r"(deque|list|map|set|unordered_map|unordered_set)"
+RE_NODE_CONTAINER = re.compile(
+    r"\bstd::" + NODE_CONTAINERS + r"\b|#\s*include\s*<" + NODE_CONTAINERS +
+    r">")
+NODE_CONTAINER_RE = re.compile(r"^src/cache/")
 
 
 def strip_code(text):
@@ -240,6 +260,10 @@ def lint_file(path, rel, findings):
             report(lineno, "no-future",
                    "Future<> is banned under src/; use the intrusive "
                    "awaitables (sim/task.hh PendingValue/PendingVoid)")
+        if NODE_CONTAINER_RE.match(rel) and RE_NODE_CONTAINER.search(line):
+            report(lineno, "no-node-container-cache",
+                   "node-based container under src/cache/; use "
+                   "FlatTable/LineTable, a fixed array or a vector")
         if RE_MEMCPY.search(line):
             lo = max(0, idx - MEMCPY_WINDOW)
             window = code_lines[lo:idx + 1]
@@ -358,6 +382,31 @@ SELFTEST_CASES = [
      "const char *s() { return \"Future<int>\"; }\n", []),
     ("tools/future_elsewhere.cc",
      "void f() { Future<int> outsideTheTree; }\n", []),
+    # R10: node containers (by name or header) under src/cache/ are
+    # findings, .cc and .hh alike; vectors, FlatTable, algorithms named
+    # like containers, prose, and node containers elsewhere are not.
+    ("src/cache/bad_dir.hh",
+     "#ifndef DUET_CACHE_BAD_DIR_HH\n#define DUET_CACHE_BAD_DIR_HH\n"
+     "#include <deque>\n"
+     "struct E { std::deque<int> pending; };\n#endif\n",
+     ["no-node-container-cache", "no-node-container-cache"]),
+    ("src/cache/bad_maps.cc",
+     "#include <unordered_map>\n"
+     "std::unordered_map<int, int> a;\nstd::map<int, int> b;\n"
+     "std::set<int> c;\nstd::list<int> d;\n"
+     "std::unordered_set<int> e;\n",
+     ["no-node-container-cache"] * 6),
+    ("src/cache/flat_ok.cc",
+     "#include <vector>\n"
+     "// a std::deque per line used to live here\n"
+     "std::vector<int> v; LineTable<int> t;\n"
+     "void f() { std::set_union(); std::map_like(); }\n",
+     []),
+    ("src/fpga/soft_ok.hh",
+     "#ifndef DUET_FPGA_SOFT_OK_HH\n#define DUET_FPGA_SOFT_OK_HH\n"
+     "#include <unordered_map>\n"
+     "struct S { std::unordered_map<int, int> mshrs; };\n#endif\n",
+     []),
     # Comment/string stripping: prose never trips the code rules.
     ("src/cpu/prose.cc",
      "// a new coroutine is forked via const_cast-free magic\n"
