@@ -6,6 +6,9 @@
  * performance (simulation speed), not the modeled system.
  */
 
+#include <cstdint>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "cache/cache_array.hh"
@@ -33,6 +36,43 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/**
+ * The queue at the depths the simulator runs: k actors that each
+ * reschedule themselves one cycle later, or 20 cycles later one firing
+ * in eight (a seeded mix), so the pending depth holds at k. k = 64 runs
+ * past the queue's 32-node sorted front, so the heap tier carries the
+ * traffic.
+ */
+void
+BM_EventQueueSteadyState(benchmark::State &state)
+{
+    constexpr Tick kCycle = 1000;
+    struct Actor
+    {
+        EventQueue *eq;
+        std::uint64_t rng;
+
+        void
+        fire()
+        {
+            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+            const Tick cycles = (rng >> 61) == 0 ? 20 : 1;
+            eq->scheduleAfter(cycles * kCycle, [this] { fire(); });
+        }
+    };
+    EventQueue eq;
+    std::vector<Actor> actors(static_cast<std::size_t>(state.range(0)));
+    std::uint64_t seed = 0x5eed;
+    for (Actor &a : actors) {
+        a = Actor{&eq, seed++};
+        a.fire();
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eq.run(eq.now() + 64 * kCycle));
+    state.SetItemsProcessed(static_cast<std::int64_t>(eq.executed()));
+}
+BENCHMARK(BM_EventQueueSteadyState)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void
 BM_CacheArrayFind(benchmark::State &state)

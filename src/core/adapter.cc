@@ -75,13 +75,10 @@ DuetAdapter::makeBitstream(const AccelImage &img) const
     // (possibly layout-grown) non-coherent memory it runs against.
     b.used.bramBits += spad_.bramBits();
     b.fmaxMHz = img.fmaxMHz;
-    b.bytes.resize(fabric_.bitstreamBytes());
-    // Deterministic, content-dependent payload.
-    std::uint8_t x = static_cast<std::uint8_t>(img.name.size() * 37 + 1);
-    for (auto &byte : b.bytes) {
-        x = static_cast<std::uint8_t>(x * 167 + 13);
-        byte = x;
-    }
+    // A small deterministic payload (the image name) for the integrity
+    // check to seal. Load time does not depend on it: ControlHub::program
+    // charges at least the fabric's full bitstreamBytes().
+    b.bytes.assign(img.name.begin(), img.name.end());
     b.seal();
     return b;
 }
@@ -95,8 +92,7 @@ DuetAdapter::install(const AccelImage &img,
     for (auto &h : hubs_)
         h->setActive(false);
 
-    Bitstream image = makeBitstream(img);
-    ctrl_->program(image, [this, img, on_done](bool ok) {
+    ctrl_->program(makeBitstream(img), [this, img, on_done](bool ok) {
         if (!ok) {
             on_done(false);
             return;

@@ -446,7 +446,7 @@ ControlHub::handleFromFpga(CtrlMsg &&msg)
 }
 
 void
-ControlHub::program(const Bitstream &image, std::function<void(bool)> on_done)
+ControlHub::program(Bitstream image, std::function<void(bool)> on_done)
 {
     programs.inc();
     fabric_.beginProgramming();
@@ -454,7 +454,8 @@ ControlHub::program(const Bitstream &image, std::function<void(bool)> on_done)
         std::max(image.bytes.size(), fabric_.bitstreamBytes());
     Cycles cycles = (bytes + params_.progBytesPerCycle - 1) /
                     params_.progBytesPerCycle;
-    fastClk_.scheduleAtEdge(cycles, [this, image, on_done] {
+    fastClk_.scheduleAtEdge(cycles, [this, image = std::move(image),
+                                     on_done = std::move(on_done)] {
         bool ok = fabric_.endProgramming(image);
         if (!ok)
             error_ = HubError::Parity; // integrity-check failure

@@ -99,7 +99,7 @@ class ControlHub
      * @param image    the bitstream
      * @param on_done  called with success/failure after the load delay
      */
-    void program(const Bitstream &image, std::function<void(bool)> on_done);
+    void program(Bitstream image, std::function<void(bool)> on_done);
 
     /** Programmable clock generator. */
     void setFpgaClockMHz(std::uint64_t mhz);

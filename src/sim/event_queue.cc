@@ -25,16 +25,24 @@ EventQueue::schedule(Tick when, Event cb)
 bool
 EventQueue::run(Tick limit)
 {
-    while (!heap_.empty()) {
-        if (heap_.front().when > limit) {
+    while (!empty()) {
+        // Every front node precedes every heap node: the next event is
+        // the front's head, or the heap's top once the front is empty.
+        const bool fromFront = frontSize_ != 0;
+        const Node n = fromFront ? front_[frontHead_] : heap_.front();
+        if (n.when > limit) {
             now_ = limit;
             return false;
         }
-        const Node n = heap_.front();
-        const Node last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            siftDown(0, last);
+        if (fromFront) {
+            frontHead_ = (frontHead_ + 1) & kFrontMask;
+            --frontSize_;
+        } else {
+            const Node last = heap_.back();
+            heap_.pop_back();
+            if (!heap_.empty())
+                siftDown(0, last);
+        }
         DUET_DCHECK(n.when >= now_,
                     "event queue lost time monotonicity");
         now_ = n.when;
@@ -66,11 +74,12 @@ EventQueue::dispatchObserved(std::uint32_t slot)
     if (TraceSink *ts = obs::trace()) {
         if (ts->enabled(TraceCat::Queue)) {
             ts->instant(TraceCat::Queue, "events", "dispatch", now_);
-            // Sample the pending depth sparsely — one counter record per
-            // 256 dispatches keeps the track readable and the buffer sane.
+            // Sample the pending depth (both tiers) sparsely — one
+            // counter record per 256 dispatches keeps the track readable
+            // and the buffer sane.
             if ((executed_ & 0xffu) == 0) {
                 ts->counter(TraceCat::Queue, "events", "pending", now_,
-                            heap_.size());
+                            pending());
             }
         }
     }

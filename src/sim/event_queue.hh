@@ -6,21 +6,35 @@
  * scheduled for the same tick execute in insertion order, which makes every
  * simulation bit-for-bit deterministic.
  *
- * Layout: the priority heap orders 24-byte Node records (when, seq, slot);
- * the callbacks themselves sit in a chunked side slab indexed by slot and
- * recycled through a LIFO free-list. Heap sift operations therefore move
- * small PODs instead of type-erased callables; chunk storage is
+ * Layout: pending events are 24-byte Node records (when, seq, slot); the
+ * callbacks themselves sit in a chunked side slab indexed by slot and
+ * recycled through a LIFO free-list. Nodes live in two tiers:
+ *
+ *  - the *front*, a sorted ring of at most kFrontSlots nodes holding the
+ *    earliest pending events. A new node carries the largest seq, so it
+ *    sorts after every node of its tick and almost always lands at the
+ *    back: insert and pop are a compare and a store, with none of a
+ *    heap's data-dependent branches;
+ *  - the *heap tier*, a 4-ary heap holding everything later. It sees
+ *    traffic only past kFrontSlots pending events (a front overflow, or
+ *    a node that does not precede the heap's minimum), so a deep queue
+ *    still costs O(log n) per event instead of the front's O(depth).
+ *
+ * Every front node precedes every heap node in (when, seq) order, so the
+ * next event is the front's head, or the heap's top when the front is
+ * empty. The pop order is the strict total order on (when, seq),
+ * identical to the seed's single sorted vector. Chunk storage is
  * pointer-stable, so a due callback is invoked in place (no per-event
- * move) even if it schedules further events; and — because Event stores
- * its capture inline — steady-state scheduling touches malloc only when
- * the slab itself grows. The pop order is a strict total order on
- * (when, seq), identical to the previous single-vector implementation.
+ * move) even if it schedules further events; and, because Event stores
+ * its capture inline, steady-state scheduling touches malloc only when
+ * the slab itself grows.
  */
 
 #ifndef DUET_SIM_EVENT_QUEUE_HH
 #define DUET_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -102,16 +116,16 @@ class EventQueue
     // every simulated cycle) binds its capture into a slab slot ONCE and
     // then re-arms the same slot with a new due tick per firing. Dispatch
     // runs the capture without destroying it and never returns the slot
-    // to the free-list, so the steady state is one heap push per firing —
-    // no destroy+free+acquire+emplace round trip. Each arm consumes a
-    // (when, seq) key from the same counter as schedule(), so pop order
-    // and executed-event counts stay bit-identical to the equivalent
-    // schedule-per-firing pattern.
+    // to the free-list, so the steady state is one queue insert per
+    // firing — no destroy+free+acquire+emplace round trip. Each arm
+    // consumes a (when, seq) key from the same counter as schedule(), so
+    // pop order and executed-event counts stay bit-identical to the
+    // equivalent schedule-per-firing pattern.
     // ------------------------------------------------------------------
 
     /**
      * Claim a slab slot for a re-armable event and build @p fn in it.
-     * The slot is idle (not on the heap) until armRearmable(); the owner
+     * The slot is idle (not queued) until armRearmable(); the owner
      * must eventually releaseRearmable() it.
      * @return the slot handle to pass to armRearmable/releaseRearmable
      */
@@ -126,7 +140,7 @@ class EventQueue
     }
 
     /**
-     * Put the bound slot @p slot on the heap, due at @p when. The slot
+     * Queue the bound slot @p slot, due at @p when. The slot
      * must not already be armed (one pending firing at a time — the
      * cadence contract).
      * @pre when >= now()
@@ -146,7 +160,7 @@ class EventQueue
      * Only legal when the slot is not armed — or when the queue is about
      * to be reset()/destroyed and will never dispatch again (the
      * teardown path for coroutine frames reclaimed after the run; a
-     * stale heap node is skipped by reset()).
+     * stale queued node is skipped by reset()).
      */
     void
     releaseRearmable(std::uint32_t slot)
@@ -162,10 +176,10 @@ class EventQueue
     bool run(Tick limit = kMaxTick);
 
     /** Number of pending events. */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const { return frontSize_ + heap_.size(); }
 
     /** True when no events are pending. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return frontSize_ == 0 && heap_.empty(); }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
@@ -184,17 +198,12 @@ class EventQueue
     void
     reset()
     {
-        for (const Node &n : heap_) {
-            // Re-armable slots are owned by their binder (a Cadence in a
-            // coroutine frame), which releases them itself — by the
-            // reset contract those frames were drained first, so the
-            // slot is already back on the free-list. Only one-shot
-            // slots are reclaimed here.
-            if (n.slot & kRearmFlag)
-                continue;
-            slotRef(n.slot).reset(); // destroy without running
-            free_.push_back(n.slot);
-        }
+        for (std::uint32_t i = 0; i < frontSize_; ++i)
+            dropPending(front_[(frontHead_ + i) & kFrontMask]);
+        for (const Node &n : heap_)
+            dropPending(n);
+        frontHead_ = 0;
+        frontSize_ = 0;
         heap_.clear();
         now_ = 0;
         seq_ = 0;
@@ -206,8 +215,9 @@ class EventQueue
     /// the capture without destroying it and leaves the slot bound.
     static constexpr std::uint32_t kRearmFlag = 0x80000000u;
 
-    /** Heap record: the full (when, seq) ordering key plus the slab
-     *  slot holding the callback. Kept POD-small so sifts are cheap. */
+    /** Pending-event record: the full (when, seq) ordering key plus the
+     *  slab slot holding the callback. Kept POD-small so the front's
+     *  shifts and the heap's sifts are cheap. */
     struct Node
     {
         Tick when;
@@ -223,11 +233,52 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** Restore the heap property after appending at index @p i. */
-    void
-    siftUp(std::size_t i)
+    /// Front geometry: a power-of-two ring, so head/back indices wrap
+    /// with a mask. 32 holds the deepest queue of every benchmark row
+    /// (27 pending, sort/fpsoc), so the heap tier stays idle there.
+    static constexpr std::uint32_t kFrontSlots = 32;
+    static constexpr std::uint32_t kFrontMask = kFrontSlots - 1;
+
+    /** The front's last (latest) node. @pre frontSize_ != 0 */
+    Node &
+    frontBack()
     {
-        const Node n = heap_[i];
+        return front_[(frontHead_ + frontSize_ - 1) & kFrontMask];
+    }
+
+    /**
+     * Insert @p n into the sorted front. @p n carries the newest seq, so
+     * it sorts after every node of its tick: scan from the back, where it
+     * almost always stays. A full front hands its latest node (possibly
+     * @p n itself) to the heap tier, whose minimum it then becomes.
+     */
+    void
+    frontInsert(const Node &n)
+    {
+        if (frontSize_ == kFrontSlots) {
+            Node &last = frontBack();
+            if (n.when >= last.when) {
+                heapPush(n);
+                return;
+            }
+            heapPush(last);
+            --frontSize_;
+        }
+        std::uint32_t i = frontHead_ + frontSize_;
+        while (i != frontHead_ && n.when < front_[(i - 1) & kFrontMask].when) {
+            front_[i & kFrontMask] = front_[(i - 1) & kFrontMask];
+            --i;
+        }
+        front_[i & kFrontMask] = n;
+        ++frontSize_;
+    }
+
+    /** Append @p n to the heap tier and sift it up. */
+    void
+    heapPush(const Node &n)
+    {
+        std::size_t i = heap_.size();
+        heap_.push_back(n);
         while (i != 0) {
             const std::size_t p = (i - 1) >> 2;
             if (!earlier(n, heap_[p]))
@@ -290,12 +341,38 @@ class EventQueue
         return slot;
     }
 
-    /** Publish the filled slot @p slot on the (when, seq) heap. */
+    /**
+     * Publish the filled slot @p slot under the next (when, seq) key. A
+     * node that does not precede the heap tier's minimum goes straight
+     * to the heap; every other node joins the front. (The new seq is the
+     * largest, so "precedes" reduces to an earlier tick.)
+     */
     void
     commit(Tick when, std::uint32_t slot)
     {
-        heap_.push_back(Node{when, seq_++, slot});
-        siftUp(heap_.size() - 1);
+        const Node n{when, seq_++, slot};
+        if (!heap_.empty() && when >= heap_.front().when)
+            heapPush(n);
+        else
+            frontInsert(n);
+        DUET_DCHECK(frontSize_ == 0 || heap_.empty() ||
+                        earlier(frontBack(), heap_.front()),
+                    "event queue front overlaps its heap tier");
+    }
+
+    /** reset()'s per-node teardown of a pending event. */
+    void
+    dropPending(const Node &n)
+    {
+        // Re-armable slots are owned by their binder (a Cadence in a
+        // coroutine frame), which releases them itself — by the reset
+        // contract those frames were drained first, so the slot is
+        // already back on the free-list. Only one-shot slots are
+        // reclaimed here.
+        if (n.slot & kRearmFlag)
+            return;
+        slotRef(n.slot).reset(); // destroy without running
+        free_.push_back(n.slot);
     }
 
     /** run()'s slow path when a trace sink or profiler is installed:
@@ -303,12 +380,17 @@ class EventQueue
      *  the disabled hot loop stays branch-plus-call-free. */
     void dispatchObserved(std::uint32_t slot);
 
-    // A 4-ary implicit heap in a plain vector: half the depth of a
-    // binary heap, and the four children of a node share a cache line
-    // pair, so sifts touch fewer lines. (when, seq) keys are unique, so
-    // the pop sequence is a strict total order and independent of heap
-    // arity and intermediate layout: bit-identical to the seed
-    // implementation.
+    /// The front: the earliest pending nodes, sorted, as a ring of
+    /// frontSize_ nodes starting at frontHead_.
+    std::array<Node, kFrontSlots> front_{};
+    std::uint32_t frontHead_ = 0;
+    std::uint32_t frontSize_ = 0;
+    // The heap tier: a 4-ary implicit heap in a plain vector, half the
+    // depth of a binary heap, and the four children of a node share a
+    // cache line pair, so sifts touch fewer lines. (when, seq) keys are
+    // unique, so the pop sequence is a strict total order and
+    // independent of tier sizes, heap arity and intermediate layout:
+    // bit-identical to the seed implementation.
     std::vector<Node> heap_;
     /// Callback storage, indexed by Node::slot. Chunked so slots never
     /// move: run() can invoke an event in place while the callback

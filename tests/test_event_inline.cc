@@ -4,9 +4,12 @@
  * InlineFunction's inline-vs-heap boundary and move/destroy discipline,
  * the chunked slab + LIFO free-list slot recycler, and — the contract
  * everything else rests on — pop-order identity with a naive reference
- * implementation across a million randomly scheduled events.
+ * implementation, across a million randomly scheduled events and across
+ * a script that drives the pending depth back and forth through the
+ * queue's sorted front and heap tier.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -303,6 +306,176 @@ TEST(EventQueueOrder, MillionEventPopOrderMatchesReferenceImplementation)
     for (std::size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(got[i], want[i]) << "pop order diverges at event " << i;
     }
+}
+
+// ---------------------------------------------------------------------
+// The two tiers: depth crossing the front, and reset
+// ---------------------------------------------------------------------
+
+/// Re-armable ids sit above every one-shot id the script hands out.
+constexpr std::uint32_t kRearmBase = 1u << 30;
+constexpr std::uint32_t kRearmables = 4;
+
+/** The production queue behind the depth script's engine interface. */
+struct QueueEngine
+{
+    EventQueue eq;
+    std::function<void(std::uint32_t)> fire;
+    std::array<std::uint32_t, kRearmables> slots{};
+
+    QueueEngine()
+    {
+        for (std::uint32_t k = 0; k < kRearmables; ++k)
+            slots[k] = eq.bindRearmable([this, k] { fire(kRearmBase + k); });
+    }
+    ~QueueEngine()
+    {
+        for (std::uint32_t slot : slots)
+            eq.releaseRearmable(slot);
+    }
+    Tick now() const { return eq.now(); }
+    std::size_t pending() const { return eq.pending(); }
+    void
+    schedule(Tick when, std::uint32_t id)
+    {
+        eq.schedule(when, [this, id] { fire(id); });
+    }
+    void arm(std::uint32_t k, Tick when) { eq.armRearmable(slots[k], when); }
+    void runUntil(Tick limit) { eq.run(limit); }
+};
+
+/** ReferenceQueue behind the same interface: a re-arm is a schedule
+ *  under a fresh seq, and runUntil() mirrors EventQueue::run(limit)'s
+ *  clock (now() = limit only when the limit stopped the run). */
+struct ReferenceEngine
+{
+    ReferenceQueue rq;
+    std::function<void(std::uint32_t)> fire;
+
+    Tick now() const { return rq.now; }
+    std::size_t pending() const { return rq.pending.size(); }
+    void schedule(Tick when, std::uint32_t id) { rq.schedule(when, id); }
+    void arm(std::uint32_t k, Tick when) { rq.schedule(when, kRearmBase + k); }
+    void
+    runUntil(Tick limit)
+    {
+        while (!rq.pending.empty()) {
+            const auto [when, seq, id] = *rq.pending.begin();
+            if (when > limit) {
+                rq.now = limit;
+                return;
+            }
+            rq.pending.erase(rq.pending.begin());
+            rq.now = when;
+            fire(id);
+        }
+    }
+};
+
+/**
+ * The depth-crossing script, run identically on either engine: 300
+ * rounds, each a burst of 40-100 events (ties on a 50-tick window, one
+ * in eight at now(), some arming an idle re-armable slot) that lifts the
+ * pending depth well past the queue's 32-node front, then a drain in
+ * small tick steps until fewer than 8 remain. A fired one-shot event
+ * schedules a child at now()..now()+3 one time in three; a fired
+ * re-armable slot re-arms itself one cycle later half the time.
+ * @return the ids in pop order
+ */
+template <typename Engine>
+std::vector<std::uint32_t>
+runDepthScript(Engine &e, std::uint64_t seed)
+{
+    std::vector<std::uint32_t> order;
+    std::array<bool, kRearmables> armed{};
+    std::uint32_t next = 0;
+    e.fire = [&](std::uint32_t id) {
+        order.push_back(id);
+        std::uint64_t s = seed ^ (0x9e3779b97f4a7c15ull * order.size());
+        const std::uint64_t r = splitmix64(s);
+        if (id >= kRearmBase) {
+            const std::uint32_t k = id - kRearmBase;
+            armed[k] = r % 2 == 0;
+            if (armed[k])
+                e.arm(k, e.now() + 1);
+        } else if (r % 3 == 0) {
+            e.schedule(e.now() + (r >> 8) % 4, next++);
+        }
+    };
+    std::uint64_t rng = seed;
+    for (int round = 0; round < 300; ++round) {
+        const int burst = 40 + static_cast<int>(splitmix64(rng) % 61);
+        for (int i = 0; i < burst; ++i) {
+            const std::uint64_t r = splitmix64(rng);
+            const Tick when = e.now() + (r % 8 == 0 ? 0 : (r >> 3) % 50);
+            const std::uint32_t k = (r >> 16) % kRearmables;
+            if ((r >> 24) % 8 == 0 && !armed[k]) {
+                armed[k] = true;
+                e.arm(k, when);
+            } else {
+                e.schedule(when, next++);
+            }
+        }
+        while (e.pending() >= 8)
+            e.runUntil(e.now() + 1 + splitmix64(rng) % 4);
+    }
+    e.runUntil(kMaxTick);
+    e.fire = nullptr; // its captures die with this frame
+    return order;
+}
+
+TEST(EventQueueOrder, DepthCrossingTheFrontMatchesReferenceImplementation)
+{
+    constexpr std::uint64_t kSeed = 0xd0e7f00d5eed0002ull;
+    QueueEngine prod;
+    const std::vector<std::uint32_t> got = runDepthScript(prod, kSeed);
+    EXPECT_TRUE(prod.eq.empty());
+    ReferenceEngine ref;
+    const std::vector<std::uint32_t> want = runDepthScript(ref, kSeed);
+
+    ASSERT_GT(want.size(), 20000u);
+    // The script reacts to what it pops, so a wrong pop also changes
+    // what runs later: report the first divergence, then the length.
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "pop order diverges at event " << i;
+    }
+    ASSERT_EQ(got.size(), want.size());
+}
+
+TEST(EventQueueSlab, ResetWithBothTiersPopulatedReturnsEveryOneShotSlot)
+{
+    EventQueue eq;
+    int ran = 0;
+    for (Tick t = 0; t < 100; ++t)
+        eq.schedule(t, [&ran] { ++ran; });
+    const std::uint32_t cadence = eq.bindRearmable([] {});
+    eq.armRearmable(cadence, 70);
+    EXPECT_EQ(eq.pending(), 101u);
+    // Ticks 0-9 run; 10-99 and the armed slot stay queued, more than
+    // the front holds, so both tiers count toward pending().
+    EXPECT_FALSE(eq.run(9));
+    EXPECT_EQ(ran, 10);
+    EXPECT_EQ(eq.pending(), 91u);
+    EXPECT_FALSE(eq.empty());
+
+    eq.reset();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.empty());
+    // Every one-shot slot is back; the re-armable one stays bound to
+    // its owner until released.
+    EXPECT_EQ(eq.freeSlots() + 1, eq.slabSlots());
+    eq.releaseRearmable(cadence);
+    EXPECT_EQ(eq.freeSlots(), eq.slabSlots());
+
+    // The reset queue is whole again: a new schedule runs in order.
+    std::vector<int> order;
+    for (int i = 0; i < 40; ++i)
+        eq.schedule(static_cast<Tick>(40 - i),
+                    [&order, i] { order.push_back(i); });
+    EXPECT_TRUE(eq.run());
+    ASSERT_EQ(order.size(), 40u);
+    for (int i = 0; i < 40; ++i)
+        EXPECT_EQ(order[i], 39 - i);
 }
 
 } // namespace

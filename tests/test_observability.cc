@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "service/scenario_service.hh"
+#include "sim/event_queue.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/sweep.hh"
@@ -385,6 +386,37 @@ TEST(SweepRowWire, LatencyKeysRoundTripAndStayOptional)
     std::ostringstream again;
     writeJsonLine(again, back);
     EXPECT_EQ(again.str(), traced.str());
+}
+
+TEST(TraceSink, PendingCounterCountsEveryQueuedEvent)
+{
+    // 268 events 1000 ticks apart; the 241st schedules 32 more inside
+    // its gap, which queue ahead of the rest: 300 events at distinct
+    // ticks. At the 256th dispatch, the first `pending` sample, 17 of
+    // the inner events and 27 of the outer ones are still queued, so
+    // the sample spans the sorted front and the heap tier.
+    EventQueue eq;
+    for (Tick i = 0; i < 268; ++i) {
+        eq.schedule(i * 1000, [&eq, i] {
+            if (i != 240)
+                return;
+            for (Tick j = 1; j <= 32; ++j)
+                eq.schedule(eq.now() + j, [] {});
+        });
+    }
+    TraceSink sink(TraceSink::maskBit(TraceCat::Queue));
+    obs::setTraceSink(&sink);
+    eq.run();
+    obs::setTraceSink(nullptr);
+    ASSERT_EQ(eq.executed(), 300u);
+
+    const std::string doc = sinkJson(sink);
+    const std::size_t rec = doc.find("\"name\":\"pending\"");
+    ASSERT_NE(rec, std::string::npos) << "no pending sample";
+    const std::string key = "\"value\":";
+    const std::size_t val = doc.find(key, rec);
+    ASSERT_NE(val, std::string::npos);
+    EXPECT_EQ(std::stoull(doc.substr(val + key.size())), 44u);
 }
 
 // ------------------------- non-perturbation ---------------------------
