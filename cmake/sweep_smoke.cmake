@@ -11,10 +11,11 @@
 #
 # Usage:
 #   cmake -DDUET_SIM=<path> -DCSV=<path> -DEXPECT_ROWS=<n> \
-#         -DWORKLOADS=<a,b,...> -DMODES=<m,...> [-DSIZE=<n>] [-DJOBS=<n>] \
-#         [-DGOLDEN=<path prefix>] -P cmake/sweep_smoke.cmake
+#         -DWORKLOADS=<a,b,...> -DMODES=<m,...> [-DSIZE=<n,...>] \
+#         [-DCORES=<n,...>] [-DJOBS=<n>] [-DGOLDEN=<path prefix>] \
+#         -P cmake/sweep_smoke.cmake
 #
-# SIZE unset runs every workload at its registry default size.
+# SIZE and CORES unset run every workload at its registry defaults.
 
 if(NOT DUET_SIM OR NOT CSV OR NOT EXPECT_ROWS OR NOT WORKLOADS OR NOT MODES)
   message(FATAL_ERROR
@@ -27,6 +28,10 @@ set(size_args "")
 if(SIZE)
   set(size_args --size ${SIZE})
 endif()
+set(cores_args "")
+if(CORES)
+  set(cores_args --cores ${CORES})
+endif()
 set(CSV_PAR "${CSV}.j${JOBS}")
 
 foreach(pass "1;${CSV}" "${JOBS};${CSV_PAR}")
@@ -38,7 +43,7 @@ foreach(pass "1;${CSV}" "${JOBS};${CSV_PAR}")
   endif()
   execute_process(
     COMMAND ${DUET_SIM} --sweep
-            --workload ${WORKLOADS} --mode ${MODES} ${size_args}
+            --workload ${WORKLOADS} --mode ${MODES} ${size_args} ${cores_args}
             --jobs ${jobs} --csv ${out} ${jsonl_args}
     RESULT_VARIABLE rv)
   if(NOT rv EQUAL 0)
