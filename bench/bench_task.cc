@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulated-access hot path:
- * core load round trips (L1 hit and miss), the repeating-cadence loop
- * against its one-shot ClockDelay equivalent, and the MMIO write path.
- * These guard the payload diet — the intrusive awaitables and re-armable
- * cadence events must keep simulation speed, not just tick identity.
+ * core load round trips (L1 hit and miss), the ClockDelay wait loop and
+ * the MMIO write path. These guard the payload diet — the intrusive
+ * awaitables and the queue's resume nodes must keep simulation speed,
+ * not just tick identity.
  */
 
 #include <cstdint>
@@ -72,8 +72,8 @@ BENCHMARK(BM_CoreLoadL1Miss);
 void
 BM_ClockDelayLoop(benchmark::State &state)
 {
-    // The one-shot form: every iteration builds, schedules, and retires
-    // a fresh event-queue slot.
+    // Every iteration queues one resume node: no slab slot, no
+    // callback, the queue resumes the frame itself.
     for (auto _ : state) {
         EventQueue eq;
         ClockDomain clk(eq, "clk", 1000);
@@ -88,26 +88,6 @@ BM_ClockDelayLoop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_ClockDelayLoop);
-
-void
-BM_CadenceLoop(benchmark::State &state)
-{
-    // The re-armable form: one slot bound once, re-armed per iteration.
-    for (auto _ : state) {
-        EventQueue eq;
-        ClockDomain clk(eq, "clk", 1000);
-        spawn([](ClockDomain &c) -> CoTask<void> {
-            Cadence cad(c);
-            for (int i = 0; i < 4096; ++i)
-                co_await cad(1);
-        }(clk));
-        eq.run();
-        drainDetachedTasks();
-        benchmark::DoNotOptimize(eq.executed());
-    }
-    state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_CadenceLoop);
 
 void
 BM_MmioWriteRoundTrip(benchmark::State &state)

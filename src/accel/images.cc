@@ -272,9 +272,6 @@ dijkstraImage()
     img.start = [](FpgaContext &ctx) {
         spawn([](FpgaContext ctx) -> CoTask<void> {
             SoftCache &mem = *ctx.mem[0];
-            // One re-armable event slot serves every II=1 iteration of
-            // this engine for the lifetime of the simulation.
-            Cadence cad(ctx.clk);
             while (true) {
                 std::uint64_t req = co_await ctx.regs.pop(0);
                 std::uint64_t u = req & 0xffffffffull;
@@ -306,7 +303,7 @@ dijkstraImage()
                 // later (worse) candidate never overwrites a better one.
                 std::unordered_map<std::uint64_t, std::uint64_t> best;
                 for (std::size_t i = 0; i < vws.size(); ++i) {
-                    co_await cad(1);
+                    co_await ClockDelay(ctx.clk, 1);
                     std::uint64_t v = vws[i] & 0xffffffffull;
                     std::uint64_t w = vws[i] >> 32;
                     std::uint64_t nd = du + w;
@@ -402,9 +399,6 @@ barnesHutImage(unsigned threads, const Layout &spad)
                          std::shared_ptr<BhState> st) -> CoTask<void> {
             SoftCache &mem = *ctx.mem[0];
             Scratchpad &sp = ctx.adapter.scratchpad();
-            // Shared by every II=1 delay below; the coroutine is
-            // sequential, so at most one firing is pending at a time.
-            Cadence cad(ctx.clk);
             const std::size_t accum_base = sm.accum;
             const std::size_t kPosBase = sm.pos;
             const std::size_t kNodeCacheBase = sm.node;
@@ -420,7 +414,7 @@ barnesHutImage(unsigned threads, const Layout &spad)
                 if (type == 2) {
                     // Flush: write the accumulated force to shared memory
                     // and make it globally visible before signaling.
-                    co_await cad(1);
+                    co_await ClockDelay(ctx.clk, 1);
                     co_await mem.store(pa + 16,
                                        sp.read(accum_base + 16 * p), 8);
                     co_await mem.store(
@@ -475,7 +469,7 @@ barnesHutImage(unsigned threads, const Layout &spad)
                             sp.read(kPosBase + 16 * q));
                         auto qy2 = static_cast<std::int64_t>(
                             sp.read(kPosBase + 16 * q + 8));
-                        co_await cad(1); // II=1 pipeline
+                        co_await ClockDelay(ctx.clk, 1); // II=1 pipeline
                         FixVec f = bhForce(px, py, qx2, qy2, 1);
                         fx += f.x;
                         fy += f.y;
@@ -509,7 +503,7 @@ barnesHutImage(unsigned threads, const Layout &spad)
                         sp.read(kNodeCacheBase + 24 * src + 16));
                 }
                 // Pipelined force evaluation from BRAM (II=1).
-                co_await cad(1);
+                co_await ClockDelay(ctx.clk, 1);
                 FixVec f = bhForce(px, py, qx, qy, qm);
                 sp.write(accum_base + 16 * p,
                          sp.read(accum_base + 16 * p) +
@@ -550,8 +544,6 @@ pdesSchedulerImage(unsigned cores, unsigned total_events)
                  unsigned total_events) -> CoTask<void> {
             // Binary min-heap of packed events in the scratchpad.
             Scratchpad &sp = ctx.adapter.scratchpad();
-            // One re-armable slot covers both pipelined heap delays.
-            Cadence cad(ctx.clk);
             unsigned heap_size = 0;
             auto heap_push = [&sp, &heap_size](std::uint64_t v) {
                 unsigned i = heap_size++;
@@ -596,7 +588,7 @@ pdesSchedulerImage(unsigned cores, unsigned total_events)
                     if (busy[t] || done[t] || heap_size == 0 ||
                         issued >= total_events)
                         continue;
-                    co_await cad(1); // pipelined heap pop
+                    co_await ClockDelay(ctx.clk, 1); // pipelined heap pop
                     ctx.regs.push(1 + t, heap_pop());
                     busy[t] = true;
                     ++issued;
@@ -615,7 +607,7 @@ pdesSchedulerImage(unsigned cores, unsigned total_events)
                 }
                 // Wait for an insert or a completion marker.
                 std::uint64_t v = co_await ctx.regs.pop(0);
-                co_await cad(1); // pipelined heap insert
+                co_await ClockDelay(ctx.clk, 1); // pipelined heap insert
                 if (v >> 63) {
                     busy[v & 0xffff] = false;
                 } else {
@@ -654,8 +646,6 @@ bfsQueueImage(unsigned cores)
             // low half, next frontier in the high half.
             Scratchpad &sp = ctx.adapter.scratchpad();
             const std::size_t half = sp.size() / 2;
-            // One re-armable slot for all the pipelined BRAM delays.
-            Cadence cad(ctx.clk);
             unsigned cur_size = 0, next_size = 0;
 
             std::uint64_t seed = co_await ctx.regs.pop(1 + cores);
@@ -666,7 +656,7 @@ bfsQueueImage(unsigned cores)
                 // Round-robin the current frontier over the per-core
                 // queues, then one level sentinel per core.
                 for (unsigned i = 0; i < cur_size; ++i) {
-                    co_await cad(1);
+                    co_await ClockDelay(ctx.clk, 1);
                     ctx.regs.push(1 + (i % cores), sp.read(8 * i));
                 }
                 for (unsigned c = 0; c < cores; ++c)
@@ -678,7 +668,7 @@ bfsQueueImage(unsigned cores)
                 unsigned votes = 0;
                 while (votes < cores) {
                     std::uint64_t v = co_await ctx.regs.pop(0);
-                    co_await cad(1);
+                    co_await ClockDelay(ctx.clk, 1);
                     if (v == kLevelSentinel) {
                         ++votes;
                     } else {
@@ -695,7 +685,7 @@ bfsQueueImage(unsigned cores)
                 // Swap frontiers (BRAM copy, pipelined).
                 for (unsigned i = 0; i < next_size; ++i)
                     sp.write(8 * i, sp.read(half + 8 * i));
-                co_await cad(1 + next_size / 8);
+                co_await ClockDelay(ctx.clk, 1 + next_size / 8);
                 cur_size = next_size;
                 next_size = 0;
             }

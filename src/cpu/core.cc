@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include "sim/logging.hh"
+#include "sim/trace.hh"
 
 namespace duet
 {

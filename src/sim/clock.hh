@@ -105,8 +105,8 @@ class ClockDomain
     /**
      * The tick of the first rising edge at-or-after now plus @p cycles
      * further whole cycles — the due tick scheduleAtEdge() uses, exposed
-     * so re-armable cadence events (sim/task.hh Cadence) compute the
-     * identical tick without re-deriving the edge arithmetic.
+     * so ClockDelay (sim/task.hh), which queues a resume rather than a
+     * callback, computes the identical tick.
      */
     Tick
     edgeAfterCycles(Cycles cycles) const

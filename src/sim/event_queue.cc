@@ -10,16 +10,22 @@
 namespace duet
 {
 
-void
-EventQueue::schedule(Tick when, Event cb)
+inline void
+EventQueue::dispatch(std::uint64_t ref)
 {
-    DUET_DCHECK(cb != nullptr, "null event callback scheduled");
-    const std::uint32_t slot = acquireSlot(when);
-    // Cold path: a pre-built Event moves into the one-shot slot behind a
-    // small forwarding capture (hot call sites use the template overload,
-    // which emplaces the raw lambda directly).
-    slotRef(slot).emplace([cb = std::move(cb)] { cb(); });
-    commit(when, slot);
+    if ((ref & 1) == 0) {
+        std::coroutine_handle<>::from_address(std::bit_cast<void *>(ref))
+            .resume();
+        return;
+    }
+    // Invoke in place: chunk storage is pointer-stable, so the callback
+    // may schedule new events (growing the slab) without invalidating
+    // its own captures, and its slot only joins the free-list after it
+    // returns. runDestroy() fuses the call and the capture teardown into
+    // one indirect call.
+    const auto slot = static_cast<std::uint32_t>(ref >> 1);
+    slotRef(slot).runDestroy();
+    free_.push_back(slot);
 }
 
 bool
@@ -47,29 +53,18 @@ EventQueue::run(Tick limit)
                     "event queue lost time monotonicity");
         now_ = n.when;
         ++executed_;
-        // Invoke in place: chunk storage is pointer-stable, so the
-        // callback may schedule new events (growing the slab) without
-        // invalidating its own captures, and its slot only joins the
-        // free-list after it returns. runDestroy() fuses the call and
-        // the capture teardown into one indirect call. Observability
-        // costs exactly this one predicted branch when disabled.
-        if (obs::g_active != 0) [[unlikely]] {
-            dispatchObserved(n.slot);
-        } else if (n.slot & kRearmFlag) {
-            // Re-armable slot: run the capture in place and keep it
-            // bound — the callback re-arms (or its owner releases) the
-            // slot; it never joins the free-list here.
-            slotRef(n.slot & ~kRearmFlag).run();
-        } else {
-            slotRef(n.slot).runDestroy();
-            free_.push_back(n.slot);
-        }
+        // Observability costs exactly this one predicted branch when
+        // disabled.
+        if (obs::g_active != 0) [[unlikely]]
+            dispatchObserved(n.ref);
+        else
+            dispatch(n.ref);
     }
     return true;
 }
 
 void
-EventQueue::dispatchObserved(std::uint32_t slot)
+EventQueue::dispatchObserved(std::uint64_t ref)
 {
     if (TraceSink *ts = obs::trace()) {
         if (ts->enabled(TraceCat::Queue)) {
@@ -83,26 +78,22 @@ EventQueue::dispatchObserved(std::uint32_t slot)
             }
         }
     }
-    const bool rearm = (slot & kRearmFlag) != 0;
-    Slot &s = slotRef(slot & ~kRearmFlag);
     if (Profiler *p = obs::prof()) {
         p->beginEvent();
+        // A resumed frame is simulated software waiting out its cycles
+        // (ClockDelay): the single biggest event class, attributed to
+        // "cpu" rather than left to fall into "other".
+        if ((ref & 1) == 0)
+            p->claim("cpu");
         const auto t0 = std::chrono::steady_clock::now();
-        if (rearm)
-            s.run();
-        else
-            s.runDestroy();
+        dispatch(ref);
         const auto t1 = std::chrono::steady_clock::now();
         p->endEvent(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                 .count()));
-    } else if (rearm) {
-        s.run();
     } else {
-        s.runDestroy();
+        dispatch(ref);
     }
-    if (!rearm)
-        free_.push_back(slot);
 }
 
 } // namespace duet

@@ -2,13 +2,15 @@
  * @file
  * The global discrete-event queue driving the simulation.
  *
- * Events are arbitrary callbacks scheduled at absolute ticks. Events
- * scheduled for the same tick execute in insertion order, which makes every
- * simulation bit-for-bit deterministic.
+ * Events are arbitrary callbacks, or coroutines to resume, scheduled at
+ * absolute ticks. Events scheduled for the same tick execute in insertion
+ * order, which makes every simulation bit-for-bit deterministic.
  *
- * Layout: pending events are 24-byte Node records (when, seq, slot); the
- * callbacks themselves sit in a chunked side slab indexed by slot and
- * recycled through a LIFO free-list. Nodes live in two tiers:
+ * Layout: pending events are 24-byte Node records (when, seq, ref). A
+ * callback sits in a chunked side slab, recycled through a LIFO
+ * free-list, and the node refers to its slot; a coroutine waiting out a
+ * delay (ClockDelay) needs no callback, so its node refers to the frame
+ * itself and dispatch resumes it directly. Nodes live in two tiers:
  *
  *  - the *front*, a sorted ring of at most kFrontSlots nodes holding the
  *    earliest pending events. A new node carries the largest seq, so it
@@ -25,7 +27,7 @@
  * empty. The pop order is the strict total order on (when, seq),
  * identical to the seed's single sorted vector. Chunk storage is
  * pointer-stable, so a due callback is invoked in place (no per-event
- * move) even if it schedules further events; and, because Event stores
+ * move) even if it schedules further events; and, because a slot stores
  * its capture inline, steady-state scheduling touches malloc only when
  * the slab itself grows.
  */
@@ -35,6 +37,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -57,19 +61,10 @@ namespace duet
 class EventQueue
 {
   public:
-    /**
-     * A scheduled callback as a value type, for call sites that build an
-     * event before picking its tick. The inline budget covers the
-     * simulator's largest hot capture (a private-cache miss continuation
-     * carrying a CacheReq); bigger captures still work, they just
-     * heap-allocate. Internally the slab stores one-shot slots
-     * (OneShotFunction) so dispatch costs a single indirect call; an
-     * Event passed by value is wrapped on its way in.
-     */
-    using Event = InlineFunction<void(), 168>;
-    /// Historical name, kept for call sites that predate Event.
-    using Callback = Event;
-    /// The slab slot type: run-and-destroy fused into one trampoline.
+    /// The slab slot type: run-and-destroy fused into one trampoline. The
+    /// inline budget covers the simulator's largest hot capture (a
+    /// private-cache miss continuation carrying a CacheReq); bigger
+    /// captures still work, they just heap-allocate.
     using Slot = OneShotFunction<168>;
 
     EventQueue() = default;
@@ -80,30 +75,22 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Schedule @p cb to run at absolute tick @p when.
-     * @pre when >= now()
-     */
-    void schedule(Tick when, Event cb);
-
-    /**
-     * Schedule a raw callable at absolute tick @p when, type-erasing it
-     * directly into its slab slot — the hot-path overload, skipping the
-     * intermediate Event move the by-value overload pays.
+     * Schedule @p fn to run at absolute tick @p when, type-erasing it
+     * directly into its slab slot.
      * @pre when >= now()
      */
     template <typename F,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::remove_cvref_t<F>, Event> &&
                   std::is_invocable_r_v<void, std::remove_cvref_t<F> &>>>
     void
     schedule(Tick when, F &&fn)
     {
         const std::uint32_t slot = acquireSlot(when);
         slotRef(slot).emplace(std::forward<F>(fn));
-        commit(when, slot);
+        commit(when, (std::uint64_t{slot} << 1) | 1);
     }
 
-    /** Schedule @p cb to run @p delta ticks from now. */
+    /** Schedule @p fn to run @p delta ticks from now. */
     template <typename F>
     void
     scheduleAfter(Tick delta, F &&fn)
@@ -111,62 +98,23 @@ class EventQueue
         schedule(now_ + delta, std::forward<F>(fn));
     }
 
-    // ------------------------------------------------------------------
-    // Re-armable events: a repeating callback (a pipeline cadence firing
-    // every simulated cycle) binds its capture into a slab slot ONCE and
-    // then re-arms the same slot with a new due tick per firing. Dispatch
-    // runs the capture without destroying it and never returns the slot
-    // to the free-list, so the steady state is one queue insert per
-    // firing — no destroy+free+acquire+emplace round trip. Each arm
-    // consumes a (when, seq) key from the same counter as schedule(), so
-    // pop order and executed-event counts stay bit-identical to the
-    // equivalent schedule-per-firing pattern.
-    // ------------------------------------------------------------------
-
     /**
-     * Claim a slab slot for a re-armable event and build @p fn in it.
-     * The slot is idle (not queued) until armRearmable(); the owner
-     * must eventually releaseRearmable() it.
-     * @return the slot handle to pass to armRearmable/releaseRearmable
-     */
-    template <typename F>
-    std::uint32_t
-    bindRearmable(F &&fn)
-    {
-        const std::uint32_t slot = acquireSlot(now_);
-        DUET_ASSERT(slot < kRearmFlag, "event slab exhausted the slot space");
-        slotRef(slot).emplace(std::forward<F>(fn));
-        return slot;
-    }
-
-    /**
-     * Queue the bound slot @p slot, due at @p when. The slot
-     * must not already be armed (one pending firing at a time — the
-     * cadence contract).
+     * Resume the suspended coroutine @p h at absolute tick @p when. The
+     * node takes the next (when, seq) key exactly like schedule(), so
+     * pop order and executed() counts match a callback that resumes
+     * @p h, but no slab slot is claimed: dispatch resumes the frame
+     * straight from the node. reset() drops a pending resume without
+     * touching the frame, whose owner (a DetachedPool) reclaims it.
      * @pre when >= now()
      */
     void
-    armRearmable(std::uint32_t slot, Tick when)
+    resumeAt(Tick when, std::coroutine_handle<> h)
     {
-        DUET_ASSERT(when >= now_,
-                    "re-armable event armed in the past (tick " +
-                        std::to_string(when) + " < now " +
-                        std::to_string(now_) + ")");
-        commit(when, slot | kRearmFlag);
-    }
-
-    /**
-     * Destroy the bound capture and return the slot to the free-list.
-     * Only legal when the slot is not armed — or when the queue is about
-     * to be reset()/destroyed and will never dispatch again (the
-     * teardown path for coroutine frames reclaimed after the run; a
-     * stale queued node is skipped by reset()).
-     */
-    void
-    releaseRearmable(std::uint32_t slot)
-    {
-        slotRef(slot).reset();
-        free_.push_back(slot);
+        checkNotPast(when);
+        const auto frame = std::bit_cast<std::uint64_t>(h.address());
+        DUET_DCHECK((frame & 1) == 0,
+                    "coroutine frame at an odd address cannot be queued");
+        commit(when, frame);
     }
 
     /**
@@ -193,7 +141,8 @@ class EventQueue
     /**
      * Drop every pending event and rewind time to tick zero, keeping the
      * slab chunks and free-list warm (scenario warm-start). Pending
-     * callbacks are destroyed without running.
+     * callbacks are destroyed without running; a pending resume is
+     * dropped without touching its frame.
      */
     void
     reset()
@@ -211,18 +160,15 @@ class EventQueue
     }
 
   private:
-    /// High bit of Node::slot: the slot is re-armable — dispatch runs
-    /// the capture without destroying it and leaves the slot bound.
-    static constexpr std::uint32_t kRearmFlag = 0x80000000u;
-
-    /** Pending-event record: the full (when, seq) ordering key plus the
-     *  slab slot holding the callback. Kept POD-small so the front's
-     *  shifts and the heap's sifts are cheap. */
+    /** Pending-event record: the full (when, seq) ordering key plus what
+     *  to dispatch. @c ref holds a slab slot as (slot << 1) | 1, or the
+     *  (even) address of a coroutine frame to resume. Kept POD-small so
+     *  the front's shifts and the heap's sifts are cheap. */
     struct Node
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t slot;
+        std::uint64_t ref;
     };
 
     static bool
@@ -321,14 +267,21 @@ class EventQueue
         return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
     }
 
-    /** Claim an (empty) slab slot for an event due at @p when. */
-    std::uint32_t
-    acquireSlot(Tick when)
+    /** Trap an event due before now(): time only moves forward. */
+    void
+    checkNotPast(Tick when) const
     {
         DUET_ASSERT(when >= now_,
                     "event scheduled in the past (tick " +
                         std::to_string(when) + " < now " +
                         std::to_string(now_) + ")");
+    }
+
+    /** Claim an (empty) slab slot for an event due at @p when. */
+    std::uint32_t
+    acquireSlot(Tick when)
+    {
+        checkNotPast(when);
         std::uint32_t slot;
         if (!free_.empty()) {
             slot = free_.back();
@@ -342,15 +295,15 @@ class EventQueue
     }
 
     /**
-     * Publish the filled slot @p slot under the next (when, seq) key. A
-     * node that does not precede the heap tier's minimum goes straight
-     * to the heap; every other node joins the front. (The new seq is the
-     * largest, so "precedes" reduces to an earlier tick.)
+     * Publish @p ref (a filled slot or a frame) under the next (when,
+     * seq) key. A node that does not precede the heap tier's minimum
+     * goes straight to the heap; every other node joins the front. (The
+     * new seq is the largest, so "precedes" reduces to an earlier tick.)
      */
     void
-    commit(Tick when, std::uint32_t slot)
+    commit(Tick when, std::uint64_t ref)
     {
-        const Node n{when, seq_++, slot};
+        const Node n{when, seq_++, ref};
         if (!heap_.empty() && when >= heap_.front().when)
             heapPush(n);
         else
@@ -360,25 +313,26 @@ class EventQueue
                     "event queue front overlaps its heap tier");
     }
 
-    /** reset()'s per-node teardown of a pending event. */
+    /** reset()'s per-node teardown of a pending event: a slot's
+     *  callback is destroyed without running; a frame is left alone. */
     void
     dropPending(const Node &n)
     {
-        // Re-armable slots are owned by their binder (a Cadence in a
-        // coroutine frame), which releases them itself — by the reset
-        // contract those frames were drained first, so the slot is
-        // already back on the free-list. Only one-shot slots are
-        // reclaimed here.
-        if (n.slot & kRearmFlag)
+        if ((n.ref & 1) == 0)
             return;
-        slotRef(n.slot).reset(); // destroy without running
-        free_.push_back(n.slot);
+        const auto slot = static_cast<std::uint32_t>(n.ref >> 1);
+        slotRef(slot).reset();
+        free_.push_back(slot);
     }
 
+    /** Run the event @p ref names: resume its frame, or run its slot's
+     *  callback in place and recycle the slot. */
+    void dispatch(std::uint64_t ref);
+
     /** run()'s slow path when a trace sink or profiler is installed:
-     *  emit the dispatch records and time the callback. Out of line so
-     *  the disabled hot loop stays branch-plus-call-free. */
-    void dispatchObserved(std::uint32_t slot);
+     *  emit the dispatch records and time the event. Out of line so the
+     *  disabled hot loop stays branch-plus-call-free. */
+    void dispatchObserved(std::uint64_t ref);
 
     /// The front: the earliest pending nodes, sorted, as a ring of
     /// frontSize_ nodes starting at frontHead_.
@@ -392,7 +346,7 @@ class EventQueue
     // independent of tier sizes, heap arity and intermediate layout:
     // bit-identical to the seed implementation.
     std::vector<Node> heap_;
-    /// Callback storage, indexed by Node::slot. Chunked so slots never
+    /// Callback storage, indexed by slot number. Chunked so slots never
     /// move: run() can invoke an event in place while the callback
     /// grows the slab.
     std::vector<std::unique_ptr<Slot[]>> chunks_;

@@ -215,7 +215,6 @@ class OneShotFunction
     {
         RunDestroy, ///< invoke the capture, then destroy it
         Destroy,    ///< destroy the capture without running it
-        Run,        ///< invoke the capture, keep it (re-armable slots)
     };
 
     using Fn = void (*)(Act, void *);
@@ -254,10 +253,9 @@ class OneShotFunction
             ::new (static_cast<void *>(&buf_)) Fn_t(std::forward<F>(f));
             fn_ = [](Act act, void *p) {
                 Fn_t *obj = static_cast<Fn_t *>(p);
-                if (act != Act::Destroy)
+                if (act == Act::RunDestroy)
                     (*obj)();
-                if (act != Act::Run)
-                    obj->~Fn_t();
+                obj->~Fn_t();
             };
             heap_ = false;
         } else {
@@ -265,10 +263,9 @@ class OneShotFunction
             ::new (static_cast<void *>(&buf_))(Fn_t *)(owned.release());
             fn_ = [](Act act, void *p) {
                 Fn_t *obj = *static_cast<Fn_t **>(p);
-                if (act != Act::Destroy)
+                if (act == Act::RunDestroy)
                     (*obj)();
-                if (act != Act::Run)
-                    std::default_delete<Fn_t>{}(obj);
+                std::default_delete<Fn_t>{}(obj);
             };
             heap_ = true;
         }
@@ -287,21 +284,6 @@ class OneShotFunction
         DUET_ASSERT(fn_ != nullptr, "running an empty one-shot slot");
         fn_(Act::RunDestroy, &buf_);
         fn_ = nullptr;
-    }
-
-    /**
-     * Invoke the capture and keep it for the next invocation — the
-     * re-armable slot path: a repeating event (a pipeline cadence) runs
-     * through the same capture every cycle instead of paying a
-     * destroy+emplace round trip per firing. The slot stays occupied;
-     * the owner releases it with reset() when the cadence dies.
-     * @pre !empty()
-     */
-    void
-    run()
-    {
-        DUET_ASSERT(fn_ != nullptr, "running an empty one-shot slot");
-        fn_(Act::Run, &buf_);
     }
 
     /** Destroy the capture without running it (pending-event teardown);

@@ -14,9 +14,9 @@
  *    awaitable itself, so a simulated operation allocates nothing and
  *    touches no refcount;
  *  - spawn(): detach a CoTask<void> as a top-level simulated thread;
- *  - ClockDelay: co_await n cycles in a clock domain (one-shot);
- *  - Cadence: the repeating form of ClockDelay — one re-armable event
- *    queue slot per loop instead of one slab round trip per iteration.
+ *  - ClockDelay: co_await n cycles in a clock domain — the one way to
+ *    wait, from II=1 accelerator pipelines to spin loops: the event
+ *    queue resumes the frame straight from its node, with no callback.
  */
 
 #ifndef DUET_SIM_TASK_HH
@@ -26,13 +26,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "sim/arena.hh"
 #include "sim/check.hh"
 #include "sim/clock.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace duet
 {
@@ -406,7 +404,9 @@ class PendingVoid
 /**
  * Awaitable that suspends for @p cycles rising edges of a clock domain.
  * Resumes on the target edge (aligned: first edge at-or-after now, plus
- * further whole periods).
+ * further whole periods). The suspension is one event-queue node that
+ * names the frame (EventQueue::resumeAt): nothing is allocated or
+ * type-erased, and the profiler attributes the resume to "cpu".
  */
 class ClockDelay
 {
@@ -420,13 +420,7 @@ class ClockDelay
     void
     await_suspend(std::coroutine_handle<> h) const
     {
-        // The one-event-per-cycle cadence: the single biggest event
-        // class, so the profiler wants it attributed to the simulated
-        // software ("cpu") rather than falling into "other".
-        clk_.scheduleAtEdge(cycles_, [h] {
-            obs::profClaim("cpu");
-            h.resume();
-        });
+        clk_.eventQueue().resumeAt(clk_.edgeAfterCycles(cycles_), h);
     }
 
     void await_resume() const noexcept {}
@@ -434,79 +428,6 @@ class ClockDelay
   private:
     const ClockDomain &clk_;
     Cycles cycles_;
-};
-
-/**
- * The repeating form of ClockDelay for II=1 pipeline loops and spin
- * waits: declare one Cadence before the loop, `co_await cad(1)` inside
- * it. The first await binds the resume capture into a re-armable event
- * queue slot; every later await just re-arms that slot with a new due
- * tick — one heap push per iteration instead of a full slot
- * destroy/free/acquire/emplace round trip. Due ticks, (when, seq)
- * ordering keys, and executed-event counts are identical to the
- * equivalent per-iteration ClockDelay, so simulated time is
- * bit-identical.
- *
- * Owned by exactly one coroutine frame; the destructor releases the
- * slot. Frames parked forever (accelerator request loops) are reclaimed
- * by their DetachedPool's drain() before the event queue is reset or
- * destroyed, which keeps slot release ordered before queue teardown.
- */
-class Cadence
-{
-  public:
-    explicit Cadence(const ClockDomain &clk) : clk_(clk) {}
-
-    Cadence(const Cadence &) = delete;
-    Cadence &operator=(const Cadence &) = delete;
-
-    ~Cadence()
-    {
-        if (slot_ != kUnbound)
-            clk_.eventQueue().releaseRearmable(slot_);
-    }
-
-    struct [[nodiscard]] Awaiter
-    {
-        Cadence &c;
-        Cycles cycles;
-
-        bool await_ready() const noexcept { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h) const
-        {
-            c.arm(cycles, h);
-        }
-
-        void await_resume() const noexcept {}
-    };
-
-    /** Awaitable suspending for @p cycles rising edges. */
-    Awaiter operator()(Cycles cycles) { return Awaiter{*this, cycles}; }
-
-  private:
-    static constexpr std::uint32_t kUnbound = 0xffffffffu;
-
-    void
-    arm(Cycles cycles, std::coroutine_handle<> h)
-    {
-        waiter_ = h;
-        EventQueue &eq = clk_.eventQueue();
-        if (slot_ == kUnbound) {
-            // Same profiler attribution as ClockDelay: the cadence is
-            // simulated software making progress, i.e. "cpu".
-            slot_ = eq.bindRearmable([this] {
-                obs::profClaim("cpu");
-                waiter_.resume();
-            });
-        }
-        eq.armRearmable(slot_, clk_.edgeAfterCycles(cycles));
-    }
-
-    const ClockDomain &clk_;
-    std::uint32_t slot_ = kUnbound;
-    std::coroutine_handle<> waiter_;
 };
 
 } // namespace duet

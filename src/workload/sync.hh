@@ -39,11 +39,9 @@ class McsLock
             co_return; // uncontended
         co_await c.store(pred + 0, my_node);  // pred->next = me
         // Spin locally on my qnode's locked flag (cached; release
-        // invalidates it). One re-armable event slot backs the whole
-        // spin episode.
-        Cadence spin(c.clock());
+        // invalidates it), polling once per cycle.
         while (co_await c.load(my_node + 8) != 0)
-            co_await spin(1);
+            co_await ClockDelay(c.clock(), 1);
     }
 
     CoTask<void>
@@ -57,9 +55,8 @@ class McsLock
             if (old == my_node)
                 co_return; // no successor
             // A successor is enqueueing; wait for its next-pointer store.
-            Cadence spin(c.clock());
             while ((next = co_await c.load(my_node + 0)) == 0)
-                co_await spin(1);
+                co_await ClockDelay(c.clock(), 1);
         }
         co_await c.store(next + 8, 0); // unlock successor
     }
@@ -93,9 +90,8 @@ class SpinBarrier
             co_await c.store(base_ + 8, local_sense ? 1 : 0);
             co_return;
         }
-        Cadence spin(c.clock());
         while ((co_await c.load(base_ + 8) != 0) != local_sense)
-            co_await spin(1);
+            co_await ClockDelay(c.clock(), 1);
     }
 
   private:

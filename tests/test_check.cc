@@ -2,8 +2,9 @@
  * @file
  * The invariant layer: DUET_ASSERT/DUET_DCHECK semantics, the
  * --paranoid runtime switch, and the traps the macros pin across the
- * simulator — past-event scheduling, scratchpad/functional-memory
- * bounds, coroutine double-await, and the serve/executor wire checks.
+ * simulator — past-event scheduling, odd resume frames,
+ * scratchpad/functional-memory bounds, coroutine double-await, and the
+ * serve/executor wire checks.
  */
 
 #include <coroutine>
@@ -157,11 +158,17 @@ TEST(CheckEventQueueDeathTest, UncaughtPastEventDies)
         expected);
 }
 
-TEST(CheckEventQueue, NullCallbackTrapsUnderParanoid)
+TEST(CheckEventQueue, OddFrameAddressTrapsUnderParanoid)
 {
+    // A queued resume names its frame by an even address; an odd one
+    // would read back as a slab slot.
     ParanoidScope scope(true);
     EventQueue eq;
-    EXPECT_THROW(eq.schedule(1, EventQueue::Callback{}), SimPanic);
+    alignas(8) static char frame[8];
+    EXPECT_THROW(
+        eq.resumeAt(1, std::coroutine_handle<>::from_address(frame + 1)),
+        SimPanic);
+    EXPECT_TRUE(eq.empty());
 }
 
 // ---------------------------------------------------------------------

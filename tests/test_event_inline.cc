@@ -5,12 +5,14 @@
  * the chunked slab + LIFO free-list slot recycler, and — the contract
  * everything else rests on — pop-order identity with a naive reference
  * implementation, across a million randomly scheduled events and across
- * a script that drives the pending depth back and forth through the
- * queue's sorted front and heap tier.
+ * a script that drives the pending depth (callbacks and parked
+ * coroutines) back and forth through the queue's sorted front and heap
+ * tier.
  */
 
 #include <algorithm>
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -22,6 +24,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/task.hh"
 
 namespace duet
 {
@@ -54,15 +57,17 @@ TEST(InlineFunction, CapturePastTheBudgetGoesToTheHeap)
 
 TEST(InlineFunction, EventBudgetMatchesTheDeclaredBoundary)
 {
-    // The queue's Event type must store a budget-sized capture inline
+    // The queue's slab slot must store a budget-sized capture inline
     // and spill one byte past it; a silent budget change would move
     // hot captures onto the heap without any test noticing.
-    char atLimit[EventQueue::Event::kInlineBytes] = {};
-    EventQueue::Event inlineEv = [atLimit] { (void)atLimit[0]; };
+    char atLimit[EventQueue::Slot::kInlineBytes] = {};
+    EventQueue::Slot inlineEv;
+    inlineEv.emplace([atLimit] { (void)atLimit[0]; });
     EXPECT_TRUE(inlineEv.storedInline());
 
-    char pastLimit[EventQueue::Event::kInlineBytes + 1] = {};
-    EventQueue::Event heapEv = [pastLimit] { (void)pastLimit[0]; };
+    char pastLimit[EventQueue::Slot::kInlineBytes + 1] = {};
+    EventQueue::Slot heapEv;
+    heapEv.emplace([pastLimit] { (void)pastLimit[0]; });
     EXPECT_FALSE(heapEv.storedInline());
 }
 
@@ -312,27 +317,49 @@ TEST(EventQueueOrder, MillionEventPopOrderMatchesReferenceImplementation)
 // The two tiers: depth crossing the front, and reset
 // ---------------------------------------------------------------------
 
-/// Re-armable ids sit above every one-shot id the script hands out.
-constexpr std::uint32_t kRearmBase = 1u << 30;
-constexpr std::uint32_t kRearmables = 4;
+/// Recurring ids sit above every one-shot id the script hands out.
+constexpr std::uint32_t kRecurBase = 1u << 30;
+constexpr std::uint32_t kRecurring = 4;
 
-/** The production queue behind the depth script's engine interface. */
+/** Suspends the awaiting coroutine and hands its handle to @p parked,
+ *  queueing nothing: the owner decides when the queue resumes it. */
+struct Park
+{
+    std::coroutine_handle<> &parked;
+
+    bool await_ready() const noexcept { return false; }
+    void
+    await_suspend(std::coroutine_handle<> h) const noexcept
+    {
+        parked = h;
+    }
+    void await_resume() const noexcept {}
+};
+
+/** The production queue behind the depth script's engine interface. A
+ *  recurring id is a coroutine that fires each time the queue resumes
+ *  it: arm() parks the frame on resumeAt, and between firings the frame
+ *  waits on Park, off the queue. */
 struct QueueEngine
 {
     EventQueue eq;
     std::function<void(std::uint32_t)> fire;
-    std::array<std::uint32_t, kRearmables> slots{};
+    std::array<std::coroutine_handle<>, kRecurring> frames{};
 
     QueueEngine()
     {
-        for (std::uint32_t k = 0; k < kRearmables; ++k)
-            slots[k] = eq.bindRearmable([this, k] { fire(kRearmBase + k); });
+        for (std::uint32_t k = 0; k < kRecurring; ++k)
+            spawn([](QueueEngine &e, std::uint32_t id) -> CoTask<void> {
+                while (true) {
+                    co_await Park{e.frames[id - kRecurBase]};
+                    e.fire(id);
+                }
+            }(*this, kRecurBase + k));
     }
-    ~QueueEngine()
-    {
-        for (std::uint32_t slot : slots)
-            eq.releaseRearmable(slot);
-    }
+    ~QueueEngine() { drainDetachedTasks(); }
+    QueueEngine(const QueueEngine &) = delete;
+    QueueEngine &operator=(const QueueEngine &) = delete;
+
     Tick now() const { return eq.now(); }
     std::size_t pending() const { return eq.pending(); }
     void
@@ -340,13 +367,14 @@ struct QueueEngine
     {
         eq.schedule(when, [this, id] { fire(id); });
     }
-    void arm(std::uint32_t k, Tick when) { eq.armRearmable(slots[k], when); }
+    void arm(std::uint32_t k, Tick when) { eq.resumeAt(when, frames[k]); }
     void runUntil(Tick limit) { eq.run(limit); }
 };
 
-/** ReferenceQueue behind the same interface: a re-arm is a schedule
- *  under a fresh seq, and runUntil() mirrors EventQueue::run(limit)'s
- *  clock (now() = limit only when the limit stopped the run). */
+/** ReferenceQueue behind the same interface: arming a recurring id is
+ *  a schedule under a fresh seq, and runUntil() mirrors
+ *  EventQueue::run(limit)'s clock (now() = limit only when the limit
+ *  stopped the run). */
 struct ReferenceEngine
 {
     ReferenceQueue rq;
@@ -355,7 +383,7 @@ struct ReferenceEngine
     Tick now() const { return rq.now; }
     std::size_t pending() const { return rq.pending.size(); }
     void schedule(Tick when, std::uint32_t id) { rq.schedule(when, id); }
-    void arm(std::uint32_t k, Tick when) { rq.schedule(when, kRearmBase + k); }
+    void arm(std::uint32_t k, Tick when) { rq.schedule(when, kRecurBase + k); }
     void
     runUntil(Tick limit)
     {
@@ -375,11 +403,11 @@ struct ReferenceEngine
 /**
  * The depth-crossing script, run identically on either engine: 300
  * rounds, each a burst of 40-100 events (ties on a 50-tick window, one
- * in eight at now(), some arming an idle re-armable slot) that lifts the
+ * in eight at now(), some arming an idle recurring id) that lifts the
  * pending depth well past the queue's 32-node front, then a drain in
  * small tick steps until fewer than 8 remain. A fired one-shot event
  * schedules a child at now()..now()+3 one time in three; a fired
- * re-armable slot re-arms itself one cycle later half the time.
+ * recurring id arms itself again one cycle later half the time.
  * @return the ids in pop order
  */
 template <typename Engine>
@@ -387,14 +415,14 @@ std::vector<std::uint32_t>
 runDepthScript(Engine &e, std::uint64_t seed)
 {
     std::vector<std::uint32_t> order;
-    std::array<bool, kRearmables> armed{};
+    std::array<bool, kRecurring> armed{};
     std::uint32_t next = 0;
     e.fire = [&](std::uint32_t id) {
         order.push_back(id);
         std::uint64_t s = seed ^ (0x9e3779b97f4a7c15ull * order.size());
         const std::uint64_t r = splitmix64(s);
-        if (id >= kRearmBase) {
-            const std::uint32_t k = id - kRearmBase;
+        if (id >= kRecurBase) {
+            const std::uint32_t k = id - kRecurBase;
             armed[k] = r % 2 == 0;
             if (armed[k])
                 e.arm(k, e.now() + 1);
@@ -408,7 +436,7 @@ runDepthScript(Engine &e, std::uint64_t seed)
         for (int i = 0; i < burst; ++i) {
             const std::uint64_t r = splitmix64(rng);
             const Tick when = e.now() + (r % 8 == 0 ? 0 : (r >> 3) % 50);
-            const std::uint32_t k = (r >> 16) % kRearmables;
+            const std::uint32_t k = (r >> 16) % kRecurring;
             if ((r >> 24) % 8 == 0 && !armed[k]) {
                 armed[k] = true;
                 e.arm(k, when);
@@ -448,10 +476,16 @@ TEST(EventQueueSlab, ResetWithBothTiersPopulatedReturnsEveryOneShotSlot)
     int ran = 0;
     for (Tick t = 0; t < 100; ++t)
         eq.schedule(t, [&ran] { ++ran; });
-    const std::uint32_t cadence = eq.bindRearmable([] {});
-    eq.armRearmable(cadence, 70);
+    std::coroutine_handle<> frame;
+    bool resumed = false;
+    spawn([](std::coroutine_handle<> &parked, bool &flag) -> CoTask<void> {
+        co_await Park{parked};
+        flag = true;
+    }(frame, resumed));
+    eq.resumeAt(70, frame);
     EXPECT_EQ(eq.pending(), 101u);
-    // Ticks 0-9 run; 10-99 and the armed slot stay queued, more than
+    EXPECT_EQ(eq.slabSlots(), 100u); // the parked frame claims no slot
+    // Ticks 0-9 run; 10-99 and the parked frame stay queued, more than
     // the front holds, so both tiers count toward pending().
     EXPECT_FALSE(eq.run(9));
     EXPECT_EQ(ran, 10);
@@ -461,11 +495,11 @@ TEST(EventQueueSlab, ResetWithBothTiersPopulatedReturnsEveryOneShotSlot)
     eq.reset();
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_TRUE(eq.empty());
-    // Every one-shot slot is back; the re-armable one stays bound to
-    // its owner until released.
-    EXPECT_EQ(eq.freeSlots() + 1, eq.slabSlots());
-    eq.releaseRearmable(cadence);
+    // Every one-shot slot is back; the frame was dropped unresumed and
+    // is still its pool's to reclaim.
     EXPECT_EQ(eq.freeSlots(), eq.slabSlots());
+    EXPECT_FALSE(resumed);
+    drainDetachedTasks();
 
     // The reset queue is whole again: a new schedule runs in order.
     std::vector<int> order;

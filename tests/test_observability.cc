@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/sweep.hh"
+#include "sim/task.hh"
 #include "sim/trace.hh"
 #include "system/system.hh"
 
@@ -278,6 +280,37 @@ TEST(Profiler, DirectoryEventsClaimTheL3Component)
     const std::size_t at = doc.find(key);
     ASSERT_NE(at, std::string::npos) << doc;
     EXPECT_GT(std::stoull(doc.substr(at + key.size())), 0u) << doc;
+}
+
+TEST(Profiler, ClockDelayResumesClaimTheCpuComponent)
+{
+    // A ClockDelay resume runs no callback that could claim it: the
+    // queue attributes every resumed frame to "cpu" itself, while an
+    // unclaimed callback still falls into "other".
+    EventQueue eq;
+    ClockDomain clk(eq, "clk", 1000);
+    Profiler prof;
+    obs::setProfiler(&prof);
+    spawn([](ClockDomain &c) -> CoTask<void> {
+        for (int i = 0; i < 100; ++i)
+            co_await ClockDelay(c, 1);
+    }(clk));
+    eq.schedule(5, [] {});
+    eq.run();
+    obs::setProfiler(nullptr);
+    drainDetachedTasks();
+
+    std::ostringstream os;
+    prof.write(os);
+    const std::string doc = os.str();
+    for (const auto &[name, events] :
+         {std::pair<std::string, std::uint64_t>{"cpu", 100},
+          {"other", 1}}) {
+        const std::string key = "{\"name\":\"" + name + "\",\"events\":";
+        const std::size_t at = doc.find(key);
+        ASSERT_NE(at, std::string::npos) << doc;
+        EXPECT_EQ(std::stoull(doc.substr(at + key.size())), events) << doc;
+    }
 }
 
 // ------------------------- histogram ----------------------------------

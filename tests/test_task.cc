@@ -2,13 +2,15 @@
  * @file
  * The intrusive-awaitable timing path introduced by the payload diet:
  * PendingValue/PendingVoid lifetime and fast-path discipline, the
- * re-armable cadence slot (pop-order identity with a naive reference
- * queue across ~a million mixed one-shot/re-armed events),
- * Cadence-vs-ClockDelay tick equivalence, MMIO transaction-table
- * behaviour under a flood of outstanding requests, and whole-workload
- * timing identity across repeated (warm-started) runs.
+ * queue's resume nodes (ClockDelay-vs-scheduleAtEdge tick equivalence,
+ * reset() with resumes still pending, and pop-order identity with a
+ * naive reference queue across ~a million mixed one-shot events and
+ * resumed coroutines), MMIO transaction-table behaviour under a flood
+ * of outstanding requests, and whole-workload timing identity across
+ * repeated (warm-started) runs.
  */
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -126,71 +128,89 @@ TEST(AwaitableDiscipline, OpObjectsArePinned)
     static_assert(!std::is_move_constructible_v<SoftCache::DrainOp>);
     static_assert(!std::is_copy_constructible_v<FpgaRegFile::PopOp>);
     static_assert(!std::is_move_constructible_v<FpgaRegFile::PopOp>);
-    static_assert(!std::is_copy_constructible_v<Cadence>);
-    static_assert(!std::is_move_constructible_v<Cadence>);
     SUCCEED();
 }
 
 // ---------------------------------------------------------------------
-// Cadence: the re-armable form of ClockDelay
+// ClockDelay: resume nodes in the event queue
 // ---------------------------------------------------------------------
 
-TEST(Cadence, FiringTicksMatchEquivalentClockDelays)
+TEST(ClockDelay, LoopFiresOnScheduleAtEdgeTicksWithoutSlabSlots)
 {
-    // A cadence loop must land on exactly the same clock edges as the
-    // one-shot ClockDelay loop it replaces, and execute the same number
-    // of events — the bit-identity contract of the re-arm path.
-    auto run = [](bool rearm) {
+    // A ClockDelay loop must land on exactly the clock edges that
+    // scheduleAtEdge callbacks land on, with one executed event per
+    // iteration, while its resume nodes never claim a slab slot.
+    constexpr unsigned kIters = 10'000;
+    std::vector<Tick> resumed;
+    {
         EventQueue eq;
         ClockDomain clk(eq, "clk", 1000);
-        std::vector<Tick> ticks;
-        spawn([](EventQueue &q, ClockDomain &c, std::vector<Tick> &out,
-                 bool use_cadence) -> CoTask<void> {
-            if (use_cadence) {
-                Cadence cad(c);
-                for (unsigned i = 0; i < 200; ++i) {
-                    co_await cad(1 + i % 3);
-                    out.push_back(q.now());
-                }
-            } else {
-                for (unsigned i = 0; i < 200; ++i) {
-                    co_await ClockDelay(c, 1 + i % 3);
-                    out.push_back(q.now());
-                }
+        spawn([](EventQueue &q, ClockDomain &c,
+                 std::vector<Tick> &out) -> CoTask<void> {
+            for (unsigned i = 0; i < kIters; ++i) {
+                co_await ClockDelay(c, 1 + i % 3);
+                out.push_back(q.now());
             }
-        }(eq, clk, ticks, rearm));
+        }(eq, clk, resumed));
         eq.run();
         drainDetachedTasks();
-        return std::pair<std::vector<Tick>, std::uint64_t>(ticks,
-                                                           eq.executed());
-    };
-    auto cadence = run(true);
-    auto one_shot = run(false);
-    EXPECT_EQ(cadence.first, one_shot.first);
-    EXPECT_EQ(cadence.second, one_shot.second);
+        EXPECT_EQ(eq.executed(), kIters);
+        EXPECT_EQ(eq.slabSlots(), 0u);
+    }
+    std::vector<Tick> called;
+    {
+        EventQueue eq;
+        ClockDomain clk(eq, "clk", 1000);
+        std::function<void(unsigned)> step = [&](unsigned i) {
+            clk.scheduleAtEdge(1 + i % 3, [&, i] {
+                called.push_back(eq.now());
+                if (i + 1 < kIters)
+                    step(i + 1);
+            });
+        };
+        step(0);
+        eq.run();
+        EXPECT_EQ(eq.executed(), kIters);
+    }
+    EXPECT_EQ(resumed, called);
 }
 
-TEST(Cadence, SteadyStateLoopReusesOneSlabSlot)
+TEST(ClockDelay, ResetDropsPendingResumesOfDrainedFrames)
 {
+    // A run stopped mid-loop leaves one resume node per looping frame
+    // queued. The frames are reclaimed first; reset() must then drop
+    // their nodes without resuming (or touching) the dead frames, and
+    // reclaim a pending callback's slot without running it.
     EventQueue eq;
     ClockDomain clk(eq, "clk", 1000);
-    spawn([](ClockDomain &c) -> CoTask<void> {
-        Cadence cad(c);
-        for (unsigned i = 0; i < 10'000; ++i)
-            co_await cad(1);
-    }(clk));
-    eq.run();
+    std::uint64_t iterations = 0;
+    for (int t = 0; t < 8; ++t)
+        spawn([](ClockDomain &c, std::uint64_t &n) -> CoTask<void> {
+            for (unsigned i = 0; i < 1000; ++i) {
+                co_await ClockDelay(c, 1 + i % 2);
+                ++n;
+            }
+        }(clk, iterations));
+    bool ran = false;
+    eq.schedule(10'000'000, [&ran] { ran = true; });
+    EXPECT_FALSE(eq.run(50'000)); // 50 cycles into 1000-iteration loops
+    const std::uint64_t before = iterations;
+    EXPECT_GT(before, 0u);
+    EXPECT_EQ(eq.pending(), 9u);
+
     drainDetachedTasks();
-    // One firing per iteration, all served by a single re-armable slot
-    // that never cycles through the free list while armed...
-    EXPECT_EQ(eq.executed(), 10'000u);
-    EXPECT_EQ(eq.slabSlots(), 1u);
-    // ...and is handed back when the owning frame dies.
-    EXPECT_EQ(eq.freeSlots(), 1u);
+    eq.reset();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_EQ(eq.freeSlots(), eq.slabSlots());
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_EQ(iterations, before);
+    EXPECT_FALSE(ran);
 }
 
 // ---------------------------------------------------------------------
-// Re-armable events: pop-order identity with a reference queue
+// Resumed coroutines: pop-order identity with a reference queue
 // ---------------------------------------------------------------------
 
 std::uint64_t
@@ -217,18 +237,34 @@ successorsOf(std::uint32_t id, std::uint64_t seed)
     return {static_cast<Tick>(r % 257), static_cast<int>((r >> 32) % 3)};
 }
 
-TEST(EventQueueRearm, MixedOneShotAndRearmedPopOrderMatchesReference)
+/** Suspends the awaiting coroutine until the queue resumes it at
+ *  @p when: a bare EventQueue::resumeAt, with no clock domain. */
+struct ResumeAt
+{
+    EventQueue &eq;
+    Tick when;
+
+    bool await_ready() const noexcept { return false; }
+    void
+    await_suspend(std::coroutine_handle<> h) const
+    {
+        eq.resumeAt(when, h);
+    }
+    void await_resume() const noexcept {}
+};
+
+TEST(EventQueueResume, MixedOneShotAndResumedPopOrderMatchesReference)
 {
     // The production queue runs self-scheduling one-shot chains (as in
-    // the event-queue identity test) interleaved with 64 re-armable
-    // slots firing on deterministic periods. A re-arm must consume a
-    // sequence number exactly like a fresh schedule() would, so the
+    // the event-queue identity test) interleaved with 64 coroutines
+    // parked on resumeAt on deterministic periods. A resume must consume
+    // a sequence number exactly like a fresh schedule() would, so the
     // combined pop order — ties included — must match a naive reference
     // that models every firing as an ordinary insert.
     constexpr std::uint32_t kTotalOneShot = 700'000;
     constexpr std::uint32_t kSeedEvents = 2048;
     constexpr std::uint32_t kRec = 64;
-    constexpr std::uint32_t kFirings = 4000; // per re-armable slot
+    constexpr std::uint32_t kFirings = 4000; // per recurring coroutine
     constexpr std::uint64_t kSeed = 0xabba5eed20260001ull;
     constexpr std::uint64_t kRecBase = 1ull << 32; // recurring id space
 
@@ -236,27 +272,25 @@ TEST(EventQueueRearm, MixedOneShotAndRearmedPopOrderMatchesReference)
     got.reserve(kTotalOneShot + kRec * kFirings);
     {
         EventQueue eq;
-        struct Rec
-        {
-            std::uint32_t slot = 0;
-            Tick period = 1;
-            std::uint32_t remaining = 0;
-        };
-        std::vector<Rec> recs(kRec);
+        std::uint32_t finished = 0;
         std::uint32_t scheduled = 0;
         std::uint64_t rng = kSeed;
         for (std::uint32_t i = 0; i < kRec; ++i) {
             std::uint64_t r = splitmix64(rng);
-            recs[i].period = 1 + static_cast<Tick>(r % 13);
-            recs[i].remaining = kFirings;
-            recs[i].slot = eq.bindRearmable([&eq, &recs, &got, i] {
-                got.push_back(kRecBase + i);
-                Rec &rc = recs[i];
-                if (--rc.remaining > 0)
-                    eq.armRearmable(rc.slot, eq.now() + rc.period);
-            });
-            eq.armRearmable(recs[i].slot,
-                            1 + static_cast<Tick>((r >> 16) % 97));
+            spawn([](EventQueue &q, std::vector<std::uint64_t> &out,
+                     std::uint32_t &done, std::uint64_t id, Tick first,
+                     Tick period) -> CoTask<void> {
+                co_await ResumeAt{q, first};
+                for (std::uint32_t n = 1;; ++n) {
+                    out.push_back(id);
+                    if (n == kFirings)
+                        break;
+                    co_await ResumeAt{q, q.now() + period};
+                }
+                ++done;
+            }(eq, got, finished, kRecBase + i,
+              1 + static_cast<Tick>((r >> 16) % 97),
+              1 + static_cast<Tick>(r % 13)));
         }
         std::function<void(std::uint32_t)> body = [&](std::uint32_t id) {
             got.push_back(id);
@@ -274,17 +308,15 @@ TEST(EventQueueRearm, MixedOneShotAndRearmedPopOrderMatchesReference)
             eq.schedule(r % 1024, [&, id] { body(id); });
         }
         eq.run();
-        for (std::uint32_t i = 0; i < kRec; ++i) {
-            EXPECT_EQ(recs[i].remaining, 0u) << "slot " << i;
-            eq.releaseRearmable(recs[i].slot);
-        }
-        // Every slab slot — one-shot and re-armable alike — is back on
-        // the free list once the run drains and the slots are released.
+        EXPECT_EQ(finished, kRec);
+        EXPECT_EQ(eq.executed(), got.size());
+        // Every one-shot slot is back on the free list once the run
+        // drains.
         EXPECT_EQ(eq.freeSlots(), eq.slabSlots());
     }
 
     // Reference: a std::set ordered by (when, seq, id) where EVERY
-    // firing, re-armed or not, is a plain insert consuming seq.
+    // firing, resumed or called back, is a plain insert consuming seq.
     std::vector<std::uint64_t> want;
     want.reserve(got.size());
     {
@@ -390,10 +422,10 @@ TEST(MmioTable, FloodOfOutstandingTransactionsResolvesEveryOne)
 
 TEST(WorkloadIdentity, RepeatRunsAreTickIdentical)
 {
-    // The cadence-heavy workloads (PDES heap loops, dijkstra relaxation,
-    // barnes-hut force evaluation) must produce identical sim_ticks on
-    // every run — the second run warm-starts a reset System, so this
-    // also checks re-armable slots rebind cleanly after reset().
+    // The ClockDelay-heavy workloads (PDES heap loops, dijkstra
+    // relaxation, barnes-hut force evaluation) must produce identical
+    // sim_ticks on every run — the second run warm-starts a reset
+    // System, whose accelerator frames were parked on resume nodes.
     for (const char *name : {"pdes", "dijkstra", "barnes_hut"}) {
         AppResult a = runApp(name, SystemMode::Duet);
         AppResult b = runApp(name, SystemMode::Duet);
@@ -401,7 +433,7 @@ TEST(WorkloadIdentity, RepeatRunsAreTickIdentical)
         EXPECT_EQ(a.runtime, b.runtime) << name;
     }
     // CPU-only PDES spins through the MCS lock and barrier, whose
-    // cadence-backed spin loops ride the same re-arm path.
+    // spin loops wait out each poll on the same resume path.
     AppResult c = runApp("pdes", SystemMode::CpuOnly, {.cores = 4});
     AppResult d = runApp("pdes", SystemMode::CpuOnly, {.cores = 4});
     EXPECT_TRUE(c.correct);
