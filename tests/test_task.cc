@@ -3,10 +3,11 @@
  * The intrusive-awaitable timing path introduced by the payload diet:
  * PendingValue/PendingVoid lifetime and fast-path discipline, the
  * queue's resume nodes (ClockDelay-vs-scheduleAtEdge tick equivalence,
- * reset() with resumes still pending, and pop-order identity with a
- * naive reference queue across ~a million mixed one-shot events and
- * resumed coroutines), MMIO transaction-table behaviour under a flood
- * of outstanding requests, and whole-workload timing identity across
+ * one callback slot reused across a steady ClockDelay loop, reset()
+ * with resumes still pending, and pop-order identity with a naive
+ * reference queue across ~a million mixed one-shot events and resumed
+ * coroutines), MMIO transaction-table behaviour under a flood of
+ * outstanding requests, and whole-workload timing identity across
  * repeated (warm-started) runs.
  */
 
@@ -173,6 +174,30 @@ TEST(ClockDelay, LoopFiresOnScheduleAtEdgeTicksWithoutSlabSlots)
         EXPECT_EQ(eq.executed(), kIters);
     }
     EXPECT_EQ(resumed, called);
+}
+
+TEST(ClockDelay, SteadyStateLoopReusesOneCallbackSlot)
+{
+    // A loop that schedules one callback per iteration and then waits a
+    // cycle holds one slab slot at a time: its resume nodes claim none,
+    // and each callback's slot is back on the free list before the next
+    // iteration takes it.
+    EventQueue eq;
+    ClockDomain clk(eq, "clk", 1000);
+    std::uint64_t calls = 0;
+    spawn([](EventQueue &q, ClockDomain &c,
+             std::uint64_t &n) -> CoTask<void> {
+        for (unsigned i = 0; i < 10'000; ++i) {
+            q.schedule(q.now(), [&n] { ++n; });
+            co_await ClockDelay(c, 1);
+        }
+    }(eq, clk, calls));
+    eq.run();
+    drainDetachedTasks();
+    EXPECT_EQ(calls, 10'000u);
+    EXPECT_EQ(eq.executed(), 20'000u);
+    EXPECT_EQ(eq.slabSlots(), 1u);
+    EXPECT_EQ(eq.freeSlots(), 1u);
 }
 
 TEST(ClockDelay, ResetDropsPendingResumesOfDrainedFrames)
