@@ -1,6 +1,7 @@
 #include "cache/l3_shard.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -22,9 +23,16 @@ L3Shard::DirMap::operator[](Addr la)
 {
     if (const std::uint32_t *n = index_.find(la))
         return at(*n);
-    const auto n = static_cast<std::uint32_t>(index_.size());
-    if (n % kChunk == 0)
-        chunks_.push_back(std::make_unique<DirEntry[]>(kChunk));
+    std::uint32_t n;
+    if (!free_.empty()) {
+        n = free_.back();
+        free_.pop_back();
+        at(n) = DirEntry{};
+    } else {
+        n = slots_++;
+        if (n % kChunk == 0)
+            chunks_.push_back(std::make_unique<DirEntry[]>(kChunk));
+    }
     index_.insert(la, n);
     return at(n);
 }
@@ -34,6 +42,27 @@ L3Shard::DirMap::find(Addr la) const
 {
     const std::uint32_t *n = index_.find(la);
     return n ? &at(*n) : nullptr;
+}
+
+void
+L3Shard::DirMap::erase(Addr la)
+{
+    const std::optional<std::uint32_t> n = index_.take(la);
+    DUET_ASSERT(n.has_value(), "erasing an absent directory line");
+    const DirEntry &e = at(*n);
+    DUET_DCHECK(!e.busy && e.head == kNil && e.numSharers == 0 &&
+                    e.state == DirState::U,
+                "erasing a live directory entry");
+    free_.push_back(*n);
+}
+
+std::vector<Addr>
+L3Shard::DirMap::lines() const
+{
+    std::vector<Addr> out;
+    out.reserve(index_.size());
+    index_.forEach([&](Addr la, std::uint32_t) { out.push_back(la); });
+    return out;
 }
 
 void
@@ -426,12 +455,17 @@ L3Shard::finishTxn(DirEntry &e)
     e.acksNeeded = 0;
     // Retire the served request; its pool node joins the free list.
     const std::uint32_t done_node = e.head;
+    const Addr la = lineAlign(pool_[done_node].msg.addr);
     e.head = pool_[done_node].next;
     pool_[done_node].next = freeNodes_;
     freeNodes_ = done_node;
     if (e.head == kNil) {
         e.tail = kNil;
         e.busy = false;
+        // No private cache holds the line and no request waits for it:
+        // drop the entry (@p e dangles from here on).
+        if (e.state == DirState::U)
+            dir_.erase(la);
         return;
     }
     // Keep the line busy while the drained request traverses the pipeline

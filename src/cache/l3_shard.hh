@@ -15,6 +15,7 @@
 #ifndef DUET_CACHE_L3_SHARD_HH
 #define DUET_CACHE_L3_SHARD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,6 +59,13 @@ class L3Shard
     bool isOwned(Addr line_addr) const;
     bool isBusy(Addr line_addr) const;
 
+    /** Directory footprint for tests: the lines that hold an entry now,
+     *  entry slots ever carved, and index slots (the index never
+     *  shrinks, so this tracks its peak size). */
+    std::vector<Addr> dirEntries() const { return dir_.lines(); }
+    std::size_t dirSlots() const { return dir_.slots(); }
+    std::size_t dirIndexSlots() const { return dir_.indexSlots(); }
+
     // Statistics.
     Counter requests, recallsSent, invsSent, l3Hits, l3Misses, memReads,
         memWrites, atomics;
@@ -80,8 +88,7 @@ class L3Shard
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
     /**
-     * One directory line. It owns no memory: a spilling workload creates
-     * tens of thousands of lines, and building or tearing them down
+     * One directory line. It owns no memory, so building or recycling one
      * costs no allocator call. A busy line's requests form a FIFO in the
      * shard's message pool, from head (the request in service) to tail
      * (the newest queued one).
@@ -103,11 +110,17 @@ class L3Shard
     static_assert(std::is_trivially_destructible_v<DirEntry>);
 
     /**
-     * Directory index: line address -> DirEntry, created on first touch
-     * and never erased. A LineTable maps each line to its entry number;
-     * the entries sit in fixed-size chunks that never move, so a
-     * DirEntry reference (and the pointers that scheduled events
-     * capture) stays valid while the index grows.
+     * Directory index: line address -> DirEntry. An entry is created on
+     * a line's first request and erased when a transaction leaves it
+     * idle in U, so the directory holds only the lines that private
+     * caches hold or that are mid-transaction, as a hardware slice
+     * does. (An idle U entry is indistinguishable from a fresh one:
+     * owner and stale sharer bytes are read only in EM or S.) A
+     * LineTable maps each line to its entry number; the entries sit in
+     * fixed-size chunks that never move, so a DirEntry reference (and
+     * the pointers that scheduled events capture, all inside a busy
+     * transaction) stays valid while the index grows. A freed entry
+     * number is reused before a new chunk is carved.
      */
     class DirMap
     {
@@ -115,8 +128,17 @@ class L3Shard
         /// Get-or-create the entry for line-aligned address @p la.
         DirEntry &operator[](Addr la);
 
-        /// Probe without creating; null when @p la was never touched.
+        /// Probe without creating; null when @p la holds no entry.
         const DirEntry *find(Addr la) const;
+
+        /// Drop @p la's entry, which must be idle in U; its slot joins
+        /// the free list.
+        void erase(Addr la);
+
+        /// Lines that hold an entry, in index order.
+        std::vector<Addr> lines() const;
+        std::size_t slots() const { return slots_; }
+        std::size_t indexSlots() const { return index_.capacity(); }
 
       private:
         static constexpr std::uint32_t kChunk = 256;
@@ -129,6 +151,8 @@ class L3Shard
 
         LineTable<std::uint32_t> index_;
         std::vector<std::unique_ptr<DirEntry[]>> chunks_;
+        std::uint32_t slots_ = 0;          ///< entries carved so far
+        std::vector<std::uint32_t> free_;  ///< erased entry numbers, LIFO
     };
 
     /** A queued request and the next one in its line's FIFO. */
@@ -155,7 +179,8 @@ class L3Shard
     /** Transaction response (InvAck / RecallAck*) while busy. */
     void handleTxnResp(DirEntry &e, const Message &msg);
 
-    /** Finish the current transaction and drain one queued request. */
+    /** Finish the current transaction and drain one queued request; a
+     *  line left idle in U loses its entry, and @p e with it. */
     void finishTxn(DirEntry &e);
 
     /**

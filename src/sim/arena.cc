@@ -139,8 +139,10 @@ FrameArena::allocateRaw(std::size_t n)
     } else {
         const std::size_t block = sizeof(Header) + payload;
         if (c->bumpLeft < block) {
+            // Not zero-filled: a block's header and free-list link are
+            // written before use, and untouched pages stay unmapped.
             c->slabs.push_back(
-                std::make_unique<unsigned char[]>(kSlabBytes));
+                std::make_unique_for_overwrite<unsigned char[]>(kSlabBytes));
             c->bump = c->slabs.back().get();
             c->bumpLeft = kSlabBytes;
             c->slabBytes += kSlabBytes;

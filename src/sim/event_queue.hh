@@ -257,8 +257,10 @@ class EventQueue
         heap_[i] = n;
     }
 
-    /// Slab chunk geometry: 4096 events per chunk.
-    static constexpr std::uint32_t kChunkShift = 12;
+    /// Slab chunk geometry: 64 slots per chunk. make_unique zero-fills a
+    /// whole chunk, and a benchmark run keeps a few dozen callbacks
+    /// pending at most, so one small chunk is all most Systems carve.
+    static constexpr std::uint32_t kChunkShift = 6;
     static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
 
     Slot &

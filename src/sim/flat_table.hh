@@ -63,6 +63,19 @@ class FlatTable
   public:
     std::size_t size() const { return size_; }
 
+    /** Slot count, a power of two; it grows and never shrinks. */
+    std::size_t capacity() const { return slots_.size(); }
+
+    /** Call @p fn(key, value) for every member, in slot order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Slot &s : slots_)
+            if (s.key != EmptyKey)
+                fn(s.key, s.value);
+    }
+
     /** The value for @p key; null when absent. */
     Value *
     find(Key key)

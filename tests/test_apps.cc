@@ -318,5 +318,74 @@ TEST(Apps, ProblemSizeScalesRuntime)
     EXPECT_GT(large, small);
 }
 
+/** What a cpu-only row sized to spill its L2s leaves behind, read by the
+ *  observer before teardown the way perfbench reads it. */
+struct SpillOutcome
+{
+    bool correct = false;
+    std::uint64_t events = 0;
+    Tick ticks = 0;
+    std::size_t dirEntries = 0; ///< live directory entries, all shards
+    std::size_t l2Lines = 0;    ///< line capacity of all L2s
+    std::size_t unheld = 0;     ///< live entries no private cache holds
+};
+
+SpillOutcome
+runSpillingRow(const char *name, unsigned size)
+{
+    const Workload *w = findWorkload(name);
+    EXPECT_NE(w, nullptr) << name;
+    if (w == nullptr)
+        return {};
+    WorkloadParams p{.size = size};
+    std::string err;
+    EXPECT_TRUE(resolveParams(*w, p, err)) << err;
+    SpillOutcome out;
+    auto observe = [&out](System &sys) {
+        out.events += sys.eventQueue().executed();
+        out.ticks = sys.eventQueue().now();
+        for (unsigned t = 0; t < sys.numTiles(); ++t) {
+            out.l2Lines += sys.config().l2.sizeBytes / kLineBytes;
+            const L3Shard &shard = sys.l3(t);
+            for (Addr la : shard.dirEntries()) {
+                ++out.dirEntries;
+                if (shard.holders(la).empty())
+                    ++out.unheld;
+            }
+        }
+    };
+    SystemConfig cfg;
+    cfg.mode = SystemMode::CpuOnly;
+    cfg.observer = observe;
+    out.correct = runWorkload(*w, p, cfg).correct;
+    return out;
+}
+
+// Two cpu_spill rows (perfbench/reference.json) pinned in ctest: the
+// Fig. 12 goldens run default sizes, where the directory hardly churns.
+// Lines evicted from every L2 leave the directory, so at the end it
+// holds no more entries than the L2s hold lines, each one cached.
+TEST(SpillingRows, PopcountCpu8192MatchesReferenceWithAHeldDirectory)
+{
+    const SpillOutcome r = runSpillingRow("popcount", 8192);
+    EXPECT_TRUE(r.correct);
+    EXPECT_EQ(r.events, 1'614'065u);
+    EXPECT_EQ(r.ticks, 5'548'176'000u);
+    EXPECT_GT(r.dirEntries, 0u);
+    EXPECT_LE(r.dirEntries, r.l2Lines);
+    EXPECT_EQ(r.unheld, 0u);
+}
+
+TEST(SpillingRows, DijkstraCpu2048MatchesReferenceWithAHeldDirectory)
+{
+    const SpillOutcome r = runSpillingRow("dijkstra", 2048);
+    EXPECT_TRUE(r.correct);
+    EXPECT_EQ(r.events, 810'267u);
+    EXPECT_EQ(r.ticks, 2'191'234'000u);
+    EXPECT_GT(r.dirEntries, 0u);
+    EXPECT_LE(r.dirEntries, r.l2Lines);
+    EXPECT_EQ(r.unheld, 0u);
+}
+
 } // namespace
 } // namespace duet

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <set>
@@ -519,9 +520,10 @@ TEST_P(CoherenceFuzz, RandomTrafficKeepsInvariants)
     // address's value is tagged (core, sequence) so any torn/stale write
     // is detectable as a violated per-address monotonicity at the end.
     // Beside the hot pool runs a stream of cold lines, each touched
-    // once: it grows every shard's directory index while hot lines are
-    // mid-transaction with requests queued behind them, so no event
-    // may keep a reference that the growth would move.
+    // once: every shard creates, erases and reuses directory entries
+    // while hot lines are mid-transaction with requests queued behind
+    // them, so no event may keep a reference to an entry that is erased
+    // and reused for another line.
     const unsigned kOpsPerCore = 300;
     const Addr kPool = 16;         // hot lines
     const Addr kColdBase = 1024;   // first cold line
@@ -565,15 +567,25 @@ TEST_P(CoherenceFuzz, RandomTrafficKeepsInvariants)
         issue(t);
     sys.eq.run();
 
-    // Every touched line reached its home directory at least once, and
-    // directory entries are never erased. The index starts at 16 slots
-    // and doubles before passing 1/2 load, so 33 touched lines in a
-    // shard mean its index grew at least three times.
+    // Every touched line reached its home directory at least once, and a
+    // line's entry is erased once no L2 holds it. Cold lines pass through
+    // the tiny L2s, so each shard reused erased entry slots while hot
+    // lines had requests queued: it carved fewer slots than it saw
+    // lines (about 8 against 55), and whatever the directory still holds
+    // is cached somewhere. An index grows when it holds more than 8
+    // lines at once; at least one shard's did, under the same traffic.
     std::vector<unsigned> per_shard(tiles, 0);
     for (Addr line : touched)
         ++per_shard[line % tiles];
-    for (unsigned s = 0; s < tiles; ++s)
-        EXPECT_GE(per_shard[s], 33u) << "shard " << s;
+    std::size_t widest_index = 0;
+    for (unsigned s = 0; s < tiles; ++s) {
+        const L3Shard &shard = *sys.l3[s];
+        EXPECT_LT(shard.dirSlots(), per_shard[s]) << "shard " << s;
+        widest_index = std::max(widest_index, shard.dirIndexSlots());
+        for (Addr la : shard.dirEntries())
+            EXPECT_FALSE(shard.holders(la).empty()) << "line " << la;
+    }
+    EXPECT_GT(widest_index, 16u);
 
     for (Addr line : touched) {
         // Invariant 1: single-writer — at most one cache in E/M per line,
