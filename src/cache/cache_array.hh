@@ -10,10 +10,7 @@
  * an invalid way is the sentinel ~Addr{0} (never a line-aligned address),
  * so a probe is a single u64 compare per way covering valid+match at
  * once, and the common hit touches one host cache line instead of
- * striding across sizeof(LineT) records. A per-set MRU way hint makes
- * repeat hits branch-light: the hinted compare either hits immediately
- * or falls back to the set scan, so a stale hint is a slow path, never a
- * wrong answer.
+ * striding across sizeof(LineT) records.
  */
 
 #ifndef DUET_CACHE_CACHE_ARRAY_HH
@@ -50,7 +47,6 @@ class CacheArray
         lines_.resize(sets * ways);
         tags_.resize(sets * ways, kInvalidTag);
         lastUse_.resize(sets * ways, 0);
-        mru_.resize(sets, 0);
     }
 
     unsigned sets() const { return sets_; }
@@ -60,33 +56,19 @@ class CacheArray
     LineT *
     find(Addr line_addr)
     {
-        const unsigned set = setIndex(line_addr);
-        const unsigned base = set * ways_;
-        const Addr *tags = tags_.data() + base;
-        // MRU fast path: one compare, no scan, for the repeat hit.
-        unsigned w = mru_[set];
-        if (tags[w] != line_addr) {
-            w = 0;
-            while (w < ways_ && tags[w] != line_addr)
-                ++w;
-            if (w == ways_)
-                return nullptr;
-            mru_[set] = static_cast<std::uint8_t>(w);
-        }
-        lastUse_[base + w] = ++clock_;
-        return &lines_[base + w];
+        const std::size_t i = slotOf(line_addr);
+        if (i == kNoSlot)
+            return nullptr;
+        lastUse_[i] = ++clock_;
+        return &lines_[i];
     }
 
     /** Find without updating LRU state (for probes). */
     const LineT *
     peek(Addr line_addr) const
     {
-        const unsigned base = setIndex(line_addr) * ways_;
-        const Addr *tags = tags_.data() + base;
-        for (unsigned w = 0; w < ways_; ++w)
-            if (tags[w] == line_addr)
-                return &lines_[base + w];
-        return nullptr;
+        const std::size_t i = slotOf(line_addr);
+        return i == kNoSlot ? nullptr : &lines_[i];
     }
 
     /**
@@ -126,21 +108,15 @@ class CacheArray
         const std::size_t idx = indexOf(slot);
         tags_[idx] = line_addr;
         lastUse_[idx] = ++clock_;
-        mru_[idx / ways_] = static_cast<std::uint8_t>(idx % ways_);
     }
 
     /** Invalidate the line holding @p line_addr if present. */
     void
     erase(Addr line_addr)
     {
-        const unsigned base = setIndex(line_addr) * ways_;
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (tags_[base + w] == line_addr) {
-                lines_[base + w].valid = false;
-                tags_[base + w] = kInvalidTag;
-                return;
-            }
-        }
+        const std::size_t i = slotOf(line_addr);
+        if (i != kNoSlot)
+            invalidate(lines_[i]);
     }
 
     /**
@@ -169,6 +145,8 @@ class CacheArray
   private:
     /** Never a line-aligned address, so it doubles as the invalid mark. */
     static constexpr Addr kInvalidTag = ~Addr{0};
+    /** slotOf()'s miss answer. */
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     unsigned
     setIndex(Addr line_addr) const
@@ -182,12 +160,23 @@ class CacheArray
         return static_cast<std::size_t>(&l - lines_.data());
     }
 
+    /** Index of the valid line holding @p line_addr, or kNoSlot: one
+     *  u64 compare per way of its set. */
+    std::size_t
+    slotOf(Addr line_addr) const
+    {
+        const std::size_t base = std::size_t{setIndex(line_addr)} * ways_;
+        for (unsigned w = 0; w < ways_; ++w)
+            if (tags_[base + w] == line_addr)
+                return base + w;
+        return kNoSlot;
+    }
+
     unsigned sets_;
     unsigned ways_;
     std::vector<LineT> lines_;
     std::vector<Addr> tags_;               ///< set-contiguous tag mirror
     std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint8_t> mru_;        ///< per-set MRU way hint
     std::uint64_t clock_ = 0;
 };
 

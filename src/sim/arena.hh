@@ -1,41 +1,18 @@
 /**
  * @file
- * Size-bucketed frame arena for coroutine frames.
+ * Per-System registries of detached coroutine frames.
  *
- * Simulated software and accelerator threads spawn short-lived
- * coroutine subtask frames; with the default global allocator each of
- * those is a malloc/free round trip on the scenario hot path.
- * FrameArena recycles them instead:
+ * spawn() starts a simulated thread whose frame nobody owns, such as an
+ * accelerator request loop that parks forever in a FIFO pop. Each System
+ * holds a FrameArena, and the arena's DetachedPool records the frames
+ * spawned while it was current, so a System's destructor and reset()
+ * reclaim exactly the simulated threads it ran.
  *
- *  - a System owns one FrameArena and makes it "current" for its
- *    lifetime (ArenaScope); promise operator new/delete on the coroutine
- *    types route through FrameArena::allocateRaw/deallocateRaw;
- *  - blocks are rounded to 32-byte buckets; freed blocks go on a
- *    per-bucket LIFO free list and are handed straight back on the next
- *    same-bucket allocation — after warm-up, a steady-state scenario
- *    allocates nothing;
- *  - fresh storage is carved from bump-pointer slab chunks, so even the
- *    warm-up path is one pointer bump, not a malloc;
- *  - every block carries a 16-byte header naming its owning arena, so a
- *    block allocated with no current arena (unit tests build bare
- *    CoTasks) silently takes the global-new path, and a block is
- *    always returned to the arena that carved it even if a different
- *    arena is current at free time.
+ * The arenas alive on a thread form a chain in construction order, and
+ * the newest one is current. An arena unlinks itself from wherever it
+ * sits when it dies, so Systems may be destroyed in any order.
  *
- * Lifetime safety: the arena's state lives in a heap-allocated control
- * block (Ctl) that is reference-held by its outstanding blocks. If a
- * FrameArena is destroyed while blocks are still live (a coroutine frame
- * that outlives its System), the Ctl is orphaned and self-deletes when
- * the last block comes home — never a use-after-free, at worst a
- * deferred release.
- *
- * Under --paranoid (and in sanitizer builds) each header carries a
- * live/free magic so double-frees trip a DUET_DCHECK instead of
- * corrupting a free list.
- *
- * Each arena also holds the DetachedPool of the spawn()ed frames started
- * while it was current, so a System reclaims only its own parked
- * simulated threads.
+ * Coroutine frames themselves come from the global allocator.
  */
 
 #ifndef DUET_SIM_ARENA_HH
@@ -47,12 +24,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/check.hh"
-
 namespace duet
 {
-
-class ArenaScope;
 
 /**
  * Registry of live detached (spawned) top-level coroutine frames. A
@@ -66,7 +39,7 @@ class DetachedPool
 {
   public:
     /** The pool spawn() registers with: the current arena's, or this
-     *  thread's own when no arena is current. */
+     *  thread's own when no arena is alive on it. */
     static DetachedPool &current();
 
     void add(std::coroutine_handle<> h) { live_.push_back(h); }
@@ -89,81 +62,49 @@ class DetachedPool
     std::vector<std::coroutine_handle<>> live_;
 };
 
+/**
+ * One System's DetachedPool and its place in the thread's chain of live
+ * arenas. Construction makes it the current arena; destruction unlinks
+ * it, and the newest arena still alive becomes current again. An arena
+ * must die on the thread that built it.
+ */
 class FrameArena
 {
   public:
-    /// Bucket granularity in bytes; also the minimum block payload.
-    static constexpr std::size_t kGranularity = 32;
-    /// Largest payload served from buckets; bigger goes to global new.
-    static constexpr std::size_t kMaxBlockBytes = 2048;
-    /// Slab chunk size carved into blocks by the bump pointer.
-    static constexpr std::size_t kSlabBytes = 64 * 1024;
-
-    /// Opaque control block (defined in arena.cc); public only so the
-    /// implementation's block headers can name it.
-    struct Ctl;
-
+    // Out of line: every access to the thread_local chain head stays in
+    // arena.cc. GCC 12's UBSan emits a bogus "store to null pointer"
+    // report when such a store is inlined into other TUs at -O3 (the TLS
+    // address is never null); arenas are made once per System, so
+    // nothing hot is lost.
     FrameArena();
     ~FrameArena();
 
     FrameArena(const FrameArena &) = delete;
     FrameArena &operator=(const FrameArena &) = delete;
 
-    /**
-     * Allocate @p n payload bytes from the current arena (free list,
-     * then slab bump), or from the global allocator when no arena is
-     * current / @p n exceeds kMaxBlockBytes. Never returns null.
-     */
-    static void *allocateRaw(std::size_t n);
-
-    /**
-     * Return a block from allocateRaw. Dispatches on the block header:
-     * global-new blocks are freed, arena blocks go back on their owning
-     * arena's free list (even if that arena is no longer current).
-     */
-    static void deallocateRaw(void *p);
-
     /** The frames spawn()ed while this arena was current. */
-    DetachedPool &detached();
+    DetachedPool &detached() { return detached_; }
 
-    /// @{ Introspection for tests and debugging.
-    std::size_t liveBlocks() const;
-    std::size_t slabBytes() const;
-    std::uint64_t freeListHits() const;
-    std::uint64_t slabCarves() const;
+    /** True when this is the newest arena alive on the calling thread,
+     *  so spawn() registers with its pool. */
     bool isCurrent() const;
+
+    /// @{ Slab statistics read by perfbench's layer counts. Frames come
+    /// from the global allocator, so there is no slab and each reads 0.
+    std::size_t slabBytes() const { return 0; }
+    std::uint64_t freeListHits() const { return 0; }
+    std::uint64_t slabCarves() const { return 0; }
     /// @}
 
   private:
-    friend class ArenaScope;
     friend class DetachedPool;
 
-    static thread_local Ctl *current_;
+    /// Newest live arena on this thread; null when none is alive.
+    static thread_local FrameArena *newest_;
 
-    Ctl *ctl_;
-};
-
-/**
- * RAII: make @p arena the thread's current frame arena, restoring the
- * previous one on destruction. System holds one so every frame created
- * during its lifetime pools in its arena.
- */
-class ArenaScope
-{
-  public:
-    // Out of line: every access to the thread_local current_ stays in
-    // arena.cc. GCC 12's UBSan emits a bogus "store to null pointer"
-    // report when this store is inlined into other TUs at -O3 (the TLS
-    // address is never null — the program runs fine); scopes are
-    // created once per System, so nothing hot is lost.
-    explicit ArenaScope(FrameArena &arena);
-    ~ArenaScope();
-
-    ArenaScope(const ArenaScope &) = delete;
-    ArenaScope &operator=(const ArenaScope &) = delete;
-
-  private:
-    FrameArena::Ctl *prev_;
+    FrameArena *older_;
+    FrameArena *newer_ = nullptr;
+    DetachedPool detached_;
 };
 
 } // namespace duet

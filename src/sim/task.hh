@@ -13,17 +13,20 @@
  *    pending state (value, waiter handle, flag) lives inside the
  *    awaitable itself, so a simulated operation allocates nothing and
  *    touches no refcount;
- *  - spawn(): detach a CoTask<void> as a top-level simulated thread;
+ *  - spawn(): detach a CoTask<void> as a top-level simulated thread,
+ *    registered with the current System's DetachedPool (sim/arena.hh);
  *  - ClockDelay: co_await n cycles in a clock domain — the one way to
  *    wait, from II=1 accelerator pipelines to spin loops: the event
  *    queue resumes the frame straight from its node, with no callback.
+ *
+ * Coroutine frames, CoTask subtasks and spawned threads alike, come from
+ * the global allocator.
  */
 
 #ifndef DUET_SIM_TASK_HH
 #define DUET_SIM_TASK_HH
 
 #include <coroutine>
-#include <cstddef>
 #include <cstdint>
 #include <utility>
 
@@ -34,28 +37,6 @@
 
 namespace duet
 {
-
-/**
- * Mixin giving a promise type (and through it, its coroutine frame) and
- * other hot per-operation simulator state a size-bucketed allocation
- * path through the current System's FrameArena. Outside any ArenaScope
- * (bare unit tests) it degrades to the global allocator — the block
- * header records which path was taken, so delete always matches.
- */
-struct ArenaAllocated
-{
-    static void *
-    operator new(std::size_t n)
-    {
-        return FrameArena::allocateRaw(n);
-    }
-
-    static void
-    operator delete(void *p)
-    {
-        FrameArena::deallocateRaw(p);
-    }
-};
 
 /**
  * A lazy coroutine task returning T. Starts when awaited; resumes its
@@ -82,7 +63,7 @@ class [[nodiscard]] CoTask
         void await_resume() const noexcept {}
     };
 
-    struct promise_type : ArenaAllocated
+    struct promise_type
     {
         // Raw storage + flag rather than std::optional: the value path
         // is one load and one branch. T must be default-constructible
@@ -165,7 +146,7 @@ class [[nodiscard]] CoTask<void>
         void await_resume() const noexcept {}
     };
 
-    struct promise_type : ArenaAllocated
+    struct promise_type
     {
         std::coroutine_handle<> continuation;
 
@@ -213,10 +194,10 @@ namespace detail
 /** Self-destroying top-level coroutine used by spawn(). */
 struct Detached
 {
-    struct promise_type : ArenaAllocated
+    struct promise_type
     {
-        /// The pool this frame joined at spawn time; another arena may
-        /// be current by the time it completes.
+        /// The pool this frame joined at spawn time; another System's
+        /// may be current by the time it completes.
         DetachedPool *pool = &DetachedPool::current();
 
         Detached
@@ -264,10 +245,10 @@ spawnImpl(CoTask<void> task)
 /**
  * Detach @p task as an independent simulated thread. The task starts
  * executing immediately (in the caller's event context) until its first
- * suspension point. The frame joins the current arena's DetachedPool
- * (the System under construction or run); frames still suspended when
- * the simulation ends are reclaimed by that System's destructor or
- * reset(), or by drainDetachedTasks() outside any System.
+ * suspension point. The frame joins the DetachedPool of the newest
+ * System alive on this thread; frames still suspended when the
+ * simulation ends are reclaimed by that System's destructor or reset(),
+ * or by drainDetachedTasks() outside any System.
  */
 inline void
 spawn(CoTask<void> task)

@@ -174,7 +174,7 @@ System::reset(const SystemConfig &cfg)
 {
     // Parked frames first (they reference components, as in ~System),
     // then the pending events, then the hardware in the order ~System
-    // destroys it. Only the event-queue slab and the frame arena stay.
+    // destroys it. Only the event-queue slab and the arena stay.
     arena_.detached().drain();
     eq_.reset();
     cdcLinks_.clear();

@@ -137,14 +137,15 @@ class System
      * constructor's own build(), for any @p cfg (scenario warm-start,
      * see SystemLease). The coroutine frames spawned on it, every
      * component, the functional memory and the stats registry are
-     * destroyed and replaced. Only the two allocators that exist to be
-     * reused survive: the event-queue slab and the frame arena. If
-     * build() panics on a shape the hardware cannot take (see
-     * validateRequest), the system may only be reset again or destroyed.
+     * destroyed and replaced. Only the event-queue slab, the one
+     * allocator that exists to be reused, survives; the frame arena
+     * keeps its place in the thread's chain. If build() panics on a
+     * shape the hardware cannot take (see validateRequest), the system
+     * may only be reset again or destroyed.
      */
     void reset(const SystemConfig &cfg);
 
-    /** This system's coroutine-frame arena (test probe). */
+    /** This system's registry of spawned frames (test probe). */
     const FrameArena &frameArena() const { return arena_; }
 
     /** Aggregate per-category latency totals (valid when the config's
@@ -155,14 +156,14 @@ class System
     /** Build the hardware described by cfg_ (constructor and reset). */
     void build();
 
-    // The arena and its scope are declared FIRST: members are destroyed
-    // in reverse order, so the arena outlives every component — including
-    // the detached coroutine frames drained in ~System's body — and is
-    // "current" for the whole construction and lifetime of the system.
-    // spawn() registers each detached frame with the current arena, so
-    // this system drains only the frames spawned on it.
+    // The arena is declared FIRST: members are destroyed in reverse
+    // order, so it outlives every component — including the detached
+    // coroutine frames drained in ~System's body — and is current from
+    // the start of construction whenever this is the newest System alive
+    // on its thread. spawn() registers each detached frame with the
+    // current arena, so this system drains only the frames spawned on
+    // it.
     FrameArena arena_;
-    ArenaScope arenaScope_{arena_};
     SystemConfig cfg_;
     unsigned numTiles_;
     EventQueue eq_;

@@ -19,8 +19,8 @@ namespace
 
 /**
  * The per-thread warm-System slot behind SystemLease. Thread-local on
- * purpose: the coroutine arena's "current" pointer is thread-local, so a
- * System must be reset and destroyed on the thread that built it.
+ * purpose: the chain of live frame arenas is thread-local, so a System
+ * must be reset and destroyed on the thread that built it.
  */
 struct SystemCache
 {
@@ -58,10 +58,7 @@ SystemLease::SystemLease(const SystemConfig &cfg)
     SystemCache &cache = systemCache();
     // The slot's arena must be current so the frames this run spawns
     // join that System's own DetachedPool, which its next reset()
-    // drains. It is unless another System's arena scope is innermost:
-    // one built later and still alive, or one built earlier and
-    // destroyed after the slot was seeded (its ArenaScope restores the
-    // arena it displaced).
+    // drains. It is unless a System built after it is still alive.
     if (cache.sys && !cache.inUse && cache.sys->frameArena().isCurrent()) {
         cache.sys->reset(cfg);
         cache.inUse = true;
@@ -79,9 +76,8 @@ SystemLease::~SystemLease()
     SystemCache &cache = systemCache();
     if (owned_) {
         // Seed the slot when it is free so the next lease starts warm;
-        // otherwise the System dies here (it is the innermost arena
-        // scope, so plain destruction is safe).
-        if (!cache.sys && owned_->frameArena().isCurrent())
+        // otherwise the System dies here.
+        if (!cache.sys)
             cache.sys = std::move(owned_);
         return;
     }

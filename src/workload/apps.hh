@@ -31,10 +31,10 @@ namespace duet
  * System directly. Each thread keeps one System in a slot. A lease
  * rebuilds that System for @p cfg through System::reset() whenever the
  * slot is free, whatever geometry it last held, so every lease after a
- * thread's first is warm: it reuses the event-queue slab and the
- * coroutine-frame arena instead of allocating them again. A nested lease
- * (the slot is in use), or one taken while another System's arena is
- * current, gets a fresh System of its own.
+ * thread's first is warm: it reuses the event-queue slab instead of
+ * allocating it again. A nested lease (the slot is in use), or one taken
+ * while a System built after the slot's is alive, gets a fresh System of
+ * its own.
  */
 class SystemLease
 {

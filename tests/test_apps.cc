@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -163,6 +164,49 @@ TEST(WarmStart, LeaseReusesCompatibleSystem)
         SystemLease lease(cfg);
         EXPECT_TRUE(lease.warm());
     }
+}
+
+TEST(WarmStart, LeaseIsColdWhileASystemBuiltAfterTheSlotsIsAlive)
+{
+    // A warm lease needs the slot's System current, or the frames its
+    // run spawns would join another System's pool and outlive the next
+    // reset(). While a System built after the slot's is alive, a lease
+    // gets a fresh System; once that System is gone, the next is warm.
+    SystemConfig base;
+    base.mode = SystemMode::Duet;
+    const SystemConfig cfg = appConfig(1, 1, base);
+    std::thread([&] {
+        {
+            SystemLease seed(cfg);
+            EXPECT_FALSE(seed.warm());
+        }
+        {
+            System newer(cfg);
+            SystemLease lease(cfg);
+            EXPECT_FALSE(lease.warm());
+        }
+        SystemLease lease(cfg);
+        EXPECT_TRUE(lease.warm());
+    }).join();
+}
+
+TEST(WarmStart, LeaseStaysWarmAfterAnOlderSystemIsDestroyed)
+{
+    // Destroying a System built before the slot's leaves the slot's
+    // System current, so the next lease still reuses it.
+    SystemConfig base;
+    base.mode = SystemMode::Duet;
+    const SystemConfig cfg = appConfig(1, 1, base);
+    std::thread([&] {
+        auto older = std::make_unique<System>(cfg);
+        {
+            SystemLease seed(cfg);
+            EXPECT_FALSE(seed.warm());
+        }
+        older.reset();
+        SystemLease lease(cfg);
+        EXPECT_TRUE(lease.warm());
+    }).join();
 }
 
 TEST(WarmStart, ResetRunIsByteIdenticalToColdRun)

@@ -15,7 +15,6 @@
 
 #include "fpga/scratchpad.hh"
 #include "mem/functional_mem.hh"
-#include "sim/arena.hh"
 #include "sim/check.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -264,59 +263,6 @@ TEST(CheckPendingValue, ResumeBeforeFulfillTrapsUnderParanoid)
     };
     Op op;
     EXPECT_THROW(op.await_resume(), SimPanic);
-}
-
-// ---------------------------------------------------------------------
-// Frame arena (sim/arena.hh)
-// ---------------------------------------------------------------------
-
-TEST(CheckArena, DoubleFreeTrapsUnderParanoid)
-{
-    ParanoidScope scope(true);
-    FrameArena arena;
-    ArenaScope current(arena);
-    void *p = FrameArena::allocateRaw(64);
-    ASSERT_NE(p, nullptr);
-    FrameArena::deallocateRaw(p);
-    // The header's live/free magic catches the second free before it
-    // can corrupt the bucket free list.
-    EXPECT_THROW(FrameArena::deallocateRaw(p), SimPanic);
-}
-
-TEST(CheckArena, NoCurrentArenaFallsBackToGlobalNew)
-{
-    // Bare CoTasks in unit tests allocate with no arena
-    // current; the block must take the global path and still free
-    // cleanly through the same deallocateRaw entry point.
-    void *p = FrameArena::allocateRaw(128);
-    ASSERT_NE(p, nullptr);
-    FrameArena::deallocateRaw(p);
-}
-
-TEST(CheckArena, OversizedBlockBypassesTheBuckets)
-{
-    FrameArena arena;
-    ArenaScope current(arena);
-    void *p = FrameArena::allocateRaw(FrameArena::kMaxBlockBytes + 1);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(arena.liveBlocks(), 0u); // global-new, not arena-carved
-    FrameArena::deallocateRaw(p);
-}
-
-TEST(CheckArena, FreedFrameMemoryIsReusedSameBucket)
-{
-    FrameArena arena;
-    ArenaScope current(arena);
-    void *first = FrameArena::allocateRaw(64);
-    const std::uint64_t hitsBefore = arena.freeListHits();
-    FrameArena::deallocateRaw(first);
-    // LIFO per-bucket free list: the very next same-bucket allocation
-    // gets the block just returned — the steady-state no-malloc path.
-    void *second = FrameArena::allocateRaw(64);
-    EXPECT_EQ(second, first);
-    EXPECT_EQ(arena.freeListHits(), hitsBefore + 1);
-    FrameArena::deallocateRaw(second);
-    EXPECT_EQ(arena.liveBlocks(), 0u);
 }
 
 } // namespace

@@ -3,13 +3,16 @@
  * System-level tests of the Duet Adapter: accelerator installation,
  * shadow/normal soft registers (one-shot read replies, pops dropped by
  * an accelerator reset), accelerator threads that outlive another
- * System's teardown, memory hubs + proxy cache coherence, soft
- * caches with forwarded invalidations, the TLB fault flow, exception
- * handling (parity, timeout), and FPSoC-mode downgrades.
+ * System's teardown, Systems torn down out of build order, memory hubs
+ * + proxy cache coherence, soft caches with forwarded invalidations, the
+ * TLB fault flow, exception handling (parity, timeout), and FPSoC-mode
+ * downgrades.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -462,6 +465,53 @@ TEST(MultiSystem, AnotherSystemsTeardownKeepsThisOnesParkedThreads)
     });
     a.run();
     EXPECT_EQ(got, 42u);
+}
+
+TEST(MultiSystem, OutOfOrderTeardownKeepsTheNewestLiveSystemCurrent)
+{
+    // Build S, then E; destroy S first. E must stay current, so its
+    // accelerator thread joins E's own pool and E runs it. Once E is
+    // gone too, no System is current and a bare spawn() runs against
+    // the thread's own pool. A fresh thread keeps any System an earlier
+    // test left in this thread's lease slot out of the chain.
+    std::thread([] {
+        auto s = std::make_unique<System>(smallDuet());
+        {
+            System e(smallDuet());
+            EXPECT_FALSE(s->frameArena().isCurrent());
+            s.reset();
+            EXPECT_TRUE(e.frameArena().isCurrent());
+            ASSERT_TRUE(e.installAccel(echoImage()));
+            std::uint64_t got = 0;
+            e.core(0).start([&](Core &c) -> CoTask<void> {
+                co_await c.mmioWrite(e.regAddr(0), 41);
+                got = co_await c.mmioRead(e.regAddr(1));
+            });
+            e.run();
+            EXPECT_EQ(got, 42u);
+        }
+        bool ran = false;
+        spawn([](bool &r) -> CoTask<void> {
+            r = true;
+            co_return;
+        }(ran));
+        EXPECT_TRUE(ran);
+    }).join();
+}
+
+TEST(MultiSystem, TeardownInTheMiddleOfTheChainUnlinksOnlyThatSystem)
+{
+    // A, B, C built in order; B dies first, then C. Each teardown hands
+    // currency to the newest System still alive.
+    std::thread([] {
+        System a(smallDuet());
+        auto b = std::make_unique<System>(smallDuet());
+        auto c = std::make_unique<System>(smallDuet());
+        b.reset();
+        EXPECT_TRUE(c->frameArena().isCurrent());
+        c.reset();
+        EXPECT_TRUE(a.frameArena().isCurrent());
+    }).join();
 }
 
 TEST(Fpsoc, DowngradedRegistersStillWork)

@@ -58,7 +58,7 @@ Rules (R1-R10):
                              awaitables (sim/task.hh PendingValue/
                              PendingVoid), whose pending state lives in
                              the awaiting frame. A refcounted future
-                             type costs an arena block per operation and
+                             type costs a heap block per operation and
                              must not come back as a second one.
   R10 no-node-container-cache
                              std::deque, std::list, std::map, std::set,
@@ -91,17 +91,11 @@ from pathlib import Path
 MEMCPY_WINDOW = 8
 
 # Files allowed to fork()/new: the resident-worker executor owns process
-# lifecycles (R1); the allocation layer itself — the frame arena, the
-# promise operators routing into it, and InlineFunction's
-# oversized-capture fallback — is where manual new/delete lives by
-# design (R3). Everything else stays RAII-only and allocates *through*
-# these files.
+# lifecycles (R1); InlineFunction's oversized-capture fallback is where
+# manual new/delete lives by design (R3). Everything else stays RAII-only
+# and allocates *through* these files.
 FORK_ALLOWLIST = {"src/sim/executor.cc"}
-NEW_ALLOWLIST = {
-    "src/sim/arena.cc",
-    "src/sim/inline_function.hh",
-    "src/sim/task.hh",
-}
+NEW_ALLOWLIST = {"src/sim/inline_function.hh"}
 
 # Hot-path headers where std::function (and <functional>) are banned:
 # these types sit on the per-event schedule/dispatch path and must use
@@ -302,7 +296,13 @@ SELFTEST_CASES = [
      "#ifndef DUET_CPU_DELETED_FN_HH\n#define DUET_CPU_DELETED_FN_HH\n"
      "struct S { S(const S &) = delete; };\n#endif\n",
      []),
-    ("src/sim/arena.cc", "char *f() { return new char[8]; }\n", []),
+    ("src/sim/arena.cc", "char *f() { return new char[8]; }\n",
+     ["naked-new-delete"]),
+    ("src/sim/inline_function.hh",
+     "#ifndef DUET_SIM_INLINE_FUNCTION_HH\n"
+     "#define DUET_SIM_INLINE_FUNCTION_HH\n"
+     "char *f() { return new char[8]; }\n#endif\n",
+     []),
     ("src/mem/bad_copy.cc",
      "void f(char *d, const char *s) { memcpy(d, s, 8); }\n",
      ["unchecked-memcpy"]),
