@@ -134,5 +134,3 @@ BM_MeshDelivery(benchmark::State &state)
 BENCHMARK(BM_MeshDelivery);
 
 } // namespace
-
-BENCHMARK_MAIN();

@@ -121,5 +121,3 @@ BM_MmioWriteRoundTrip(benchmark::State &state)
 BENCHMARK(BM_MmioWriteRoundTrip);
 
 } // namespace
-
-BENCHMARK_MAIN();

@@ -19,10 +19,12 @@ main()
     std::printf("-----------------------------------------------\n");
     std::printf("%6s %14s %14s %10s\n", "cores", "baseline (us)",
                 "duet (us)", "speedup");
+    bool all_correct = true;
     for (unsigned cores : {4u, 8u, 16u}) {
         AppResult cpu =
             runApp("pdes", SystemMode::CpuOnly, {.cores = cores});
         AppResult duet = runApp("pdes", SystemMode::Duet, {.cores = cores});
+        all_correct &= cpu.correct && duet.correct;
         std::printf("%6u %14.1f %14.1f %9.1fx %s\n", cores,
                     cpu.runtime / 1e6, duet.runtime / 1e6,
                     double(cpu.runtime) / duet.runtime,
@@ -32,5 +34,5 @@ main()
                 "on the shared event\nqueue) while the widget's dispatch "
                 "cost stays flat — the paper's motivation\nfor hardware "
                 "augmentation.\n");
-    return 0;
+    return all_correct ? 0 : 1;
 }

@@ -49,60 +49,98 @@ streamStore(SoftCache &port, Addr base, const std::vector<std::uint64_t> &v)
 } // namespace
 
 // =====================================================================
-// Synthetic scratchpad accelerator (Sec. V-C studies)
+// Measurement accelerator (Sec. V-C studies)
 // =====================================================================
 
+SystemConfig
+commConfig(SystemMode mode, unsigned cores)
+{
+    SystemConfig cfg;
+    cfg.numCores = cores;
+    cfg.numMemHubs = 1;
+    cfg.mode = mode;
+    cfg.ctrl.timeoutCycles = 0;
+    cfg.fabric.clbColumns = 20;
+    cfg.fabric.clbRows = 20;
+    cfg.fabric.bramTiles = 12;
+    return cfg;
+}
+
 AccelImage
-scratchpadImage(unsigned num_hubs, bool with_soft_cache)
+commImage(std::shared_ptr<CommProbe> probe)
 {
     AccelImage img;
-    img.name = "scratchpad";
+    img.name = "comm";
     img.resources = FabricResources{400, 600, 64 * 1024, 0};
-    img.fmaxMHz = 100; // the benches sweep the clock afterwards
+    img.fmaxMHz = 100; // the studies sweep the clock afterwards
     img.regLayout.kinds = {RegKind::FpgaFifo, RegKind::CpuFifo,
                            RegKind::Plain,    RegKind::Plain,
                            RegKind::Normal,   RegKind::Plain};
-    if (with_soft_cache) {
-        SoftCacheParams scp;
-        scp.enabled = true;
-        scp.sizeBytes = 4096;
-        scp.mshrs = 8;
-        img.softCaches.assign(num_hubs, scp);
-    } else {
-        SoftCacheParams pass;
-        pass.enabled = false;
-        pass.mshrs = 8;
-        img.softCaches.assign(num_hubs, pass);
-    }
-    img.start = [](FpgaContext &ctx) {
-        // Echo engine: reg0 -> reg1, one value per eFPGA cycle.
-        spawn([](FpgaContext ctx) -> CoTask<void> {
+    SoftCacheParams pass;
+    pass.enabled = false;
+    pass.mshrs = 8;
+    pass.writeBufferEntries = 8;
+    img.softCaches = {pass};
+    img.start = [probe](FpgaContext &ctx) {
+        spawn([](FpgaContext ctx,
+                 std::shared_ptr<CommProbe> probe) -> CoTask<void> {
+            EventQueue &eq = ctx.clk.eventQueue();
             while (true) {
-                std::uint64_t v = co_await ctx.regs.pop(0);
-                ctx.regs.push(1, v);
+                std::uint64_t cmd = co_await ctx.regs.pop(0);
+                unsigned op = static_cast<unsigned>(cmd >> 56);
+                std::uint64_t arg = cmd & 0x00ffffffffffffffull;
+                switch (op) {
+                  case 0x01:
+                    ctx.regs.push(1, arg);
+                    break;
+                  case 0x02: {
+                    Addr dst = ctx.regs.readPlain(3);
+                    std::uint64_t n = ctx.regs.readPlain(5);
+                    for (std::uint64_t i = 0; i < n; ++i)
+                        co_await ctx.mem[0]->store(dst + 8 * i, i + 1, 8);
+                    co_await ctx.mem[0]->drainWrites();
+                    ctx.regs.push(1, 1);
+                    break;
+                  }
+                  case 0x03: {
+                    probe->loadStart = eq.now();
+                    co_await ctx.mem[0]->load(arg, 8, probe->trace);
+                    probe->loadEnd = eq.now();
+                    ctx.regs.push(1, 1);
+                    break;
+                  }
+                  default:
+                    break;
+                }
             }
-        }(ctx));
-        // Doorbell (normal reg 4): a read triggers "pull count QW from
-        // src buffer into the scratchpad, store back to dst buffer", then
-        // acknowledges the read — the paper's eFPGA-pull protocol.
+        }(ctx, probe));
+        // Doorbell: the Fig. 10 "eFPGA pull + store back" round trip.
         ctx.regs.setReadHandler(
             4, [ctx](FpgaRegFile::ReadReply done) {
                 spawn([](FpgaContext ctx,
                          FpgaRegFile::ReadReply done) -> CoTask<void> {
                     Addr src = ctx.regs.readPlain(2);
                     Addr dst = ctx.regs.readPlain(3);
-                    unsigned count = static_cast<unsigned>(
-                        ctx.regs.readPlain(5));
-                    if (!ctx.mem.empty() && count > 0) {
-                        std::vector<std::uint64_t> data;
-                        data.reserve(count);
-                        co_await streamLoad(*ctx.mem[0], src, count, &data);
-                        for (unsigned i = 0; i < count; ++i)
-                            ctx.spad.write((8 * i) % ctx.spad.size(),
-                                           data[i]);
-                        co_await streamStore(*ctx.mem[0], dst, data);
+                    std::uint64_t n = ctx.regs.readPlain(5);
+                    // Pull at line granularity: the eFPGA loads up to one
+                    // 16 B line per cycle (paper Sec. V-C).
+                    std::deque<SoftCache::LoadOp> loads;
+                    for (std::uint64_t i = 0; i < n / 2; ++i)
+                        loads.emplace_back(*ctx.mem[0],
+                                           src + kLineBytes * i, 8);
+                    std::vector<std::uint64_t> data;
+                    for (auto &f : loads)
+                        data.push_back(co_await f);
+                    // Store back: the L2 store port takes at most 8 B, so
+                    // two stores per line (the paper's bottleneck).
+                    for (std::uint64_t i = 0; i < n; ++i) {
+                        ctx.spad.write((8 * i) % ctx.spad.size(),
+                                       data[i / 2]);
+                        co_await ctx.mem[0]->store(dst + 8 * i,
+                                                   data[i / 2], 8);
                     }
-                    done(count);
+                    co_await ctx.mem[0]->drainWrites();
+                    done(n);
                 }(ctx, std::move(done)));
             });
     };

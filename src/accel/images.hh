@@ -1,8 +1,8 @@
 /**
  * @file
  * Soft-accelerator image factories — one per application benchmark of the
- * paper's Sec. V-D, plus the synthetic scratchpad accelerator used by the
- * Sec. V-C communication studies.
+ * paper's Sec. V-D, plus the measurement accelerator (and its system
+ * configuration) used by the Sec. V-C communication studies.
  *
  * Resource usage and Fmax are imported from the paper's Table II (the
  * Yosys/VTR/PRGA CAD flow is not available offline; see DESIGN.md). The
@@ -14,9 +14,11 @@
 #define DUET_ACCEL_IMAGES_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "core/adapter.hh"
 #include "mem/layout.hh"
+#include "system/system.hh"
 
 namespace duet::accel
 {
@@ -50,10 +52,38 @@ std::uint64_t pdesGateDelta(std::uint64_t time, std::uint64_t gate);
 // Image factories.
 // ---------------------------------------------------------------------
 
-/** Synthetic scratchpad accelerator for the Fig. 9/10/11 studies.
- *  Registers: 0 FPGA-bound FIFO, 1 CPU-bound FIFO, 2/3 plain (buffer
- *  addresses), 4 normal (doorbell/barrier), 5 token FIFO. */
-AccelImage scratchpadImage(unsigned num_hubs, bool with_soft_cache);
+/** The Dolly-P1M1 system (@p cores processors) of the Sec. V-C
+ *  communication studies: one Memory Hub, no blocking-access watchdog,
+ *  a 20x20-CLB fabric with 12 BRAM tiles. */
+SystemConfig commConfig(SystemMode mode, unsigned cores = 1);
+
+/** Where the comm image's eFPGA-pull command reports its timing. */
+struct CommProbe
+{
+    LatencyTrace *trace = nullptr; ///< attached to accelerator loads
+    Tick loadStart = 0;            ///< eFPGA-side load issue tick
+    Tick loadEnd = 0;              ///< eFPGA-side load completion tick
+};
+
+/**
+ * The Sec. V-C measurement accelerator (Figs. 9-11 and the ablations),
+ * behind a pass-through memory port.
+ *
+ * Registers: 0 FPGA-bound cmd FIFO, 1 CPU-bound data FIFO,
+ *            2/3 plain (src/dst buffer bases), 4 normal (doorbell),
+ *            5 plain (quad-word count).
+ *
+ * Commands on reg 0 (high byte = opcode):
+ *  - 0x01: echo the low 32 bits back on reg 1
+ *  - 0x02: store `count` QW to the dst buffer (8 B stores), drain, then
+ *          push done on reg 1 ("CPU pull" producer)
+ *  - 0x03: load the line at the operand address (traced into
+ *          @p probe), push done on reg 1 ("eFPGA pull")
+ * Normal reg 4 read: pull count QW from src, push them back to dst, then
+ * acknowledge (the Fig. 10 shared-memory round trip).
+ */
+AccelImage
+commImage(std::shared_ptr<CommProbe> probe = std::make_shared<CommProbe>());
 
 /** Tangent (P1M0): FPGA-bound arg FIFO -> PWL pipeline -> CPU-bound
  *  result FIFO. */

@@ -131,17 +131,6 @@ class CacheArray
         tags_[indexOf(line)] = kInvalidTag;
     }
 
-    /** Count of valid lines (test/debug helper). */
-    unsigned
-    countValid() const
-    {
-        unsigned n = 0;
-        for (Addr t : tags_)
-            if (t != kInvalidTag)
-                ++n;
-        return n;
-    }
-
   private:
     /** Never a line-aligned address, so it doubles as the invalid mark. */
     static constexpr Addr kInvalidTag = ~Addr{0};

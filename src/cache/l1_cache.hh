@@ -72,9 +72,6 @@ class L1Cache
     /** Inclusive invalidation from the L2 (line left the L2). */
     void invalidateLine(Addr a) { array_.erase(lineAlign(a)); }
 
-    /** Count of valid lines (test/debug helper). */
-    unsigned validLines() const { return array_.countValid(); }
-
     Counter hits, misses;
 
   private:

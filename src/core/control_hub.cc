@@ -161,8 +161,6 @@ ControlHub::handleCtrlSpace(MmioOp &op)
                 s.data.clear();
                 s.tokens = 0;
             }
-            if (resetHook_)
-                resetHook_();
         }
         respond(op, 0);
         return true;

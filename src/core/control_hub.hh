@@ -107,11 +107,7 @@ class ControlHub
     HubError errorCode() const { return error_; }
     bool deactivated() const { return deactivated_; }
     const std::string &name() const { return name_; }
-    Addr mmioBase() const { return mmioBase_; }
     const ControlHubParams &params() const { return params_; }
-
-    /** Install a hook run on accelerator reset (kReset MMIO). */
-    void setResetHook(std::function<void()> h) { resetHook_ = std::move(h); }
 
     Counter mmioReads, mmioWrites, timeouts, bogusResponses, programs;
 
@@ -177,7 +173,6 @@ class ControlHub
     std::uint64_t tlbVpnLatch_ = 0;
     std::uint64_t tlbSelect_ = 0;
     std::uint32_t nextFwdTxn_ = 1;
-    std::function<void()> resetHook_;
 };
 
 } // namespace duet

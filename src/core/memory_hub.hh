@@ -86,8 +86,6 @@ class MemoryHub
     // ---------------- TLB management (kernel path) ------------------
     /** Install a translation; retries any requests parked on the fault. */
     void tlbInsert(Addr vpn, Addr ppn);
-    void tlbInvalidate(Addr vpn) { tlb_.invalidate(vpn); }
-    void tlbFlush() { tlb_.flush(); }
     /** Kill requests parked on @p vpn (invalid access; error latched). */
     void tlbKill(Addr vpn);
     /** Handler invoked on a TLB miss (system wires this to a core IRQ). */

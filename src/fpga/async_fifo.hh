@@ -106,8 +106,6 @@ class AsyncFifo
                                     reader_.eventQueue().now() - push_tick);
                 }
             }
-            cdcWait.sample(static_cast<double>(
-                reader_.eventQueue().now() - push_tick));
             simAssert(static_cast<bool>(drain_), name_ + ": no drain");
             drain_(std::move(item));
         });
@@ -116,7 +114,6 @@ class AsyncFifo
     const std::string &name() const { return name_; }
 
     Counter pushes;
-    SampleStat cdcWait;
 
   private:
     std::string name_;

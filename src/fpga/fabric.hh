@@ -165,17 +165,13 @@ class Fabric
         }
         state_ = State::Configured;
         accelName_ = image.accelName;
-        configured_ = image.used;
         return true;
     }
-
-    const FabricResources &configuredResources() const { return configured_; }
 
   private:
     FabricConfig cfg_;
     State state_ = State::Unconfigured;
     std::string accelName_;
-    FabricResources configured_;
 };
 
 } // namespace duet

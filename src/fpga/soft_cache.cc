@@ -63,22 +63,6 @@ SoftCache::AtomicOp::AtomicOp(SoftCache &sc, AmoOp amo_op, Addr a,
     sc.schedulePump();
 }
 
-SoftCache::PrefetchOp::PrefetchOp(SoftCache &sc, Addr line_va,
-                                  LatencyTrace *trace)
-{
-    if (!trace)
-        trace = sc.defaultTrace_;
-    PendingOp op;
-    op.op = FpgaMemOp::Load;
-    op.addr = lineAlign(line_va);
-    op.size = 8;
-    op.trace = trace;
-    op.lineFill = true;
-    op.done = this;
-    sc.queue_.push_back(std::move(op));
-    sc.schedulePump();
-}
-
 SoftCache::DrainOp::DrainOp(SoftCache &sc)
 {
     if (sc.wb_.empty() && sc.queue_.empty()) {
@@ -152,9 +136,7 @@ SoftCache::issue(PendingOp &op)
             if (line) {
                 hits.inc();
                 Addr pa = line->paddr + lineOffset(op.addr);
-                op.done->fulfill(
-                    op.lineFill ? 0
-                                : readWithForwarding(pa, op.addr, op.size));
+                op.done->fulfill(readWithForwarding(pa, op.addr, op.size));
                 return true;
             }
             // Miss: coalesce into an existing fill if one is in flight.
@@ -267,9 +249,7 @@ SoftCache::receive(FpgaMemResp &&resp)
             mshrs_.erase(it);
             for (PendingOp &w : waiters) {
                 Addr pa = line->paddr + lineOffset(w.addr);
-                w.done->fulfill(
-                    w.lineFill ? 0
-                               : readWithForwarding(pa, w.addr, w.size));
+                w.done->fulfill(readWithForwarding(pa, w.addr, w.size));
             }
             return;
         }

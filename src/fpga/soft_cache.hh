@@ -106,16 +106,6 @@ class SoftCache
                  std::uint64_t operand2 = 0, unsigned size = 8);
     };
 
-    /** A full-line prefetch; completes on fill, resolves to nothing. */
-    class [[nodiscard]] PrefetchOp : public PendingValue<std::uint64_t>
-    {
-      public:
-        PrefetchOp(SoftCache &sc, Addr line_va,
-                   LatencyTrace *trace = nullptr);
-
-        void await_resume() const noexcept {}
-    };
-
     /** A write fence; completes once every buffered store has been
      *  acknowledged by the Memory Hub (i.e. is globally visible).
      *  Pre-resolved when nothing is buffered. */
@@ -146,13 +136,6 @@ class SoftCache
         std::uint64_t operand2 = 0, unsigned size = 8)
     {
         return AtomicOp(*this, op, a, operand, operand2, size);
-    }
-
-    /** Prefetch a full line (used by streaming accelerators). */
-    PrefetchOp
-    prefetchLine(Addr line_va, LatencyTrace *trace = nullptr)
-    {
-        return PrefetchOp(*this, line_va, trace);
     }
 
     /** Fence: completes once every buffered store has been acknowledged
@@ -187,7 +170,6 @@ class SoftCache
         /// a pipelining deque) until fulfilled — a plain pointer, no
         /// shared state.
         PendingValue<std::uint64_t> *done = nullptr;
-        bool lineFill = false; ///< fill/prefetch (no value expected)
     };
 
     struct Mshr

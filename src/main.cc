@@ -27,6 +27,9 @@
  * `--bench` runs the simulator's own performance benchmark (the fixed
  * reference scenario set, in-process) and writes the duet-bench-sim/1
  * JSON report; see sim/bench.hh.
+ *
+ * `--figures DIR` regenerates the paper's Figs. 9-12, Tables I-II and
+ * the ablations as CSVs plus text tables; see sim/figures.hh.
  */
 
 #include <cstdio>
@@ -46,6 +49,7 @@
 #include "sim/bench.hh"
 #include "sim/check.hh"
 #include "sim/config.hh"
+#include "sim/figures.hh"
 #include "sim/sweep.hh"
 #include "sim/trace.hh"
 #include "workload/apps.hh"
@@ -430,7 +434,9 @@ main(int argc, char **argv)
     }
 
     int rc;
-    if (opts.bench)
+    if (!opts.figuresDir.empty())
+        rc = runFiguresMode(opts);
+    else if (opts.bench)
         rc = runBenchMode(opts);
     else if (opts.serve)
         rc = runServe(opts);

@@ -50,8 +50,9 @@ simUsage()
         "\n"
         "Runs one Duet benchmark scenario, a whole cross-product of\n"
         "scenarios (--sweep), a long-lived scenario server (--serve)\n"
-        "that schedules JSONL requests on the worker-process pool, or\n"
-        "the simulator's own performance benchmark (--bench).\n"
+        "that schedules JSONL requests on the worker-process pool, the\n"
+        "simulator's own performance benchmark (--bench), or every\n"
+        "paper figure and table (--figures).\n"
         "\n"
         "scenario selection (with --sweep these take comma/range lists,\n"
         "e.g. `--cores 4,8` or `--cores 4:16:4`):\n"
@@ -119,6 +120,14 @@ simUsage()
         "                    written --jsonl file (`-` = stdin) without\n"
         "                    re-simulating; output via --csv/--jsonl or\n"
         "                    the default table\n"
+        "\n"
+        "figures mode:\n"
+        "  --figures DIR     regenerate the paper's evaluation artifacts\n"
+        "                    at their fixed configurations: writes\n"
+        "                    DIR/{fig9,fig10,fig11,fig12,table1,table2,\n"
+        "                    ablation}.csv (DIR is created if missing) and\n"
+        "                    prints each table with its paper reference;\n"
+        "                    takes no other flag except --paranoid\n"
         "\n"
         "system shape:\n"
         "  --l2-kib N        private (L2) cache capacity per tile, KiB\n"
@@ -204,8 +213,12 @@ parseSimOptions(int argc, char **argv, SimOptions &opts, std::string &err)
     // simulated there and an ignored flag would mislead.
     bool selectionSeen = false;
     bool shapeSeen = false;
+    std::string otherThanFigures; // the first flag --figures rejects
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
+        if (flag != "--figures" && flag != "--paranoid" &&
+            otherThanFigures.empty())
+            otherThanFigures = flag;
         auto value = [&](std::string &out) {
             if (i + 1 >= argc) {
                 err = "missing value for " + flag;
@@ -304,6 +317,13 @@ parseSimOptions(int argc, char **argv, SimOptions &opts, std::string &err)
         } else if (flag == "--derive") {
             if (!value(opts.derivePath))
                 return ParseStatus::Error;
+        } else if (flag == "--figures") {
+            if (!value(opts.figuresDir))
+                return ParseStatus::Error;
+            if (opts.figuresDir.empty()) {
+                err = "--figures needs a non-empty DIR";
+                return ParseStatus::Error;
+            }
         } else if (flag == "--trace") {
             if (!value(opts.tracePath))
                 return ParseStatus::Error;
@@ -404,6 +424,17 @@ parseSimOptions(int argc, char **argv, SimOptions &opts, std::string &err)
         }
     }
 
+    if (!opts.figuresDir.empty()) {
+        // The artifacts are the paper's fixed configurations: a mode,
+        // selection, shape or output flag would silently change what a
+        // figure means.
+        if (!otherThanFigures.empty()) {
+            err = "--figures takes no other flag except --paranoid (got " +
+                  otherThanFigures + ")";
+            return ParseStatus::Error;
+        }
+        return ParseStatus::Ok;
+    }
     if (!opts.derivePath.empty() && opts.sweep) {
         err = "--derive and --sweep are mutually exclusive";
         return ParseStatus::Error;

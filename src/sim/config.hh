@@ -62,6 +62,7 @@ struct SimOptions
     unsigned benchReps = 0;       ///< --bench repetitions (0 = default 3)
     std::string benchOut;         ///< --bench JSON path ("-"/empty = stdout)
     std::string derivePath;       ///< --derive: JSONL to re-derive ("-" = stdin)
+    std::string figuresDir;       ///< --figures: paper-artifact directory
     std::string csvPath;          ///< --sweep CSV output ("-" = stdout)
     std::string jsonlPath;        ///< --sweep JSON-lines output
     bool json = false;            ///< machine-readable stats dump

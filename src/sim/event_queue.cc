@@ -64,6 +64,14 @@ EventQueue::run(Tick limit)
 }
 
 void
+EventQueue::pastEvent(Tick when) const
+{
+    checkFailed("DUET_ASSERT", "when >= now_", __FILE__, __LINE__,
+                "event scheduled in the past (tick " + std::to_string(when) +
+                    " < now " + std::to_string(now_) + ")");
+}
+
+void
 EventQueue::dispatchObserved(std::uint64_t ref)
 {
     if (TraceSink *ts = obs::trace()) {

@@ -273,11 +273,18 @@ class EventQueue
     void
     checkNotPast(Tick when) const
     {
-        DUET_ASSERT(when >= now_,
-                    "event scheduled in the past (tick " +
-                        std::to_string(when) + " < now " +
-                        std::to_string(now_) + ")");
+        if (when < now_) [[unlikely]]
+            pastEvent(when);
     }
+
+    /**
+     * checkNotPast()'s DUET_ASSERT failure, kept out of line so callers
+     * hold no message temporaries around the throw. An inlined caller
+     * inside a noexcept function would otherwise unwind through their
+     * cleanup, and GCC before 14 then calls std::terminate with no
+     * active exception, losing the panic text.
+     */
+    [[noreturn, gnu::noinline, gnu::cold]] void pastEvent(Tick when) const;
 
     /** Claim an (empty) slab slot for an event due at @p when. */
     std::uint32_t

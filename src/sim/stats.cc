@@ -1,7 +1,7 @@
 #include "sim/stats.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <iomanip>
 
 namespace duet
 {
@@ -80,31 +80,36 @@ Histogram::percentile(double p) const
     return max_;
 }
 
+std::vector<const StatRegistry::Named *>
+StatRegistry::sortedView() const
+{
+    std::vector<const Named *> view;
+    view.reserve(counters_.size());
+    for (const auto &e : counters_)
+        view.push_back(&e);
+    std::stable_sort(view.begin(), view.end(),
+                     [](const Named *a, const Named *b) {
+                         return a->first < b->first;
+                     });
+    // Equal names are in registration order; keep the last of each run,
+    // writing the survivors in place.
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        if (i + 1 < view.size() && view[i + 1]->first == view[i]->first)
+            continue;
+        view[out++] = view[i];
+    }
+    view.resize(out);
+    return view;
+}
+
 void
 StatRegistry::dump(std::ostream &os, const std::string &filter) const
 {
-    for (const auto *e : sortedView(counters_)) {
+    for (const Named *e : sortedView()) {
         if (!globMatch(filter, e->first))
             continue;
         os << e->first << " " << e->second->value() << "\n";
-    }
-    for (const auto *e : sortedView(samples_)) {
-        if (!globMatch(filter, e->first))
-            continue;
-        const SampleStat *s = e->second;
-        os << e->first << " count=" << s->count() << " mean=" << std::fixed
-           << std::setprecision(2) << s->mean() << " min=" << s->min()
-           << " max=" << s->max() << "\n";
-    }
-    for (const auto *e : sortedView(histograms_)) {
-        if (!globMatch(filter, e->first))
-            continue;
-        const Histogram *h = e->second;
-        os << e->first << " count=" << h->count() << " mean=" << std::fixed
-           << std::setprecision(2) << h->mean() << " min=" << h->min()
-           << " max=" << h->max() << " p50=" << h->percentile(0.50)
-           << " p95=" << h->percentile(0.95)
-           << " p99=" << h->percentile(0.99) << "\n";
     }
 }
 
@@ -141,49 +146,14 @@ StatRegistry::dumpJson(std::ostream &os, const std::string &filter) const
 {
     os << "{\"counters\": {";
     bool first = true;
-    for (const auto *e : sortedView(counters_)) {
+    for (const Named *e : sortedView()) {
         if (!globMatch(filter, e->first))
             continue;
         os << (first ? "" : ", ") << jsonQuote(e->first) << ": "
            << e->second->value();
         first = false;
     }
-    os << "}, \"samples\": {";
-    first = true;
-    for (const auto *e : sortedView(samples_)) {
-        if (!globMatch(filter, e->first))
-            continue;
-        const SampleStat *s = e->second;
-        os << (first ? "" : ", ") << jsonQuote(e->first) << ": {\"count\": "
-           << s->count() << ", \"sum\": " << s->sum()
-           << ", \"min\": " << s->min() << ", \"max\": " << s->max()
-           << ", \"mean\": " << s->mean() << "}";
-        first = false;
-    }
-    os << "}";
-    // Only widen the schema once a histogram actually exists (and
-    // passes the filter): default dumps stay byte-identical.
-    bool anyHist = false;
-    for (const auto *e : sortedView(histograms_))
-        anyHist = anyHist || globMatch(filter, e->first);
-    if (anyHist) {
-        os << ", \"histograms\": {";
-        first = true;
-        for (const auto *e : sortedView(histograms_)) {
-            if (!globMatch(filter, e->first))
-                continue;
-            const Histogram *h = e->second;
-            os << (first ? "" : ", ") << jsonQuote(e->first)
-               << ": {\"count\": " << h->count() << ", \"sum\": " << h->sum()
-               << ", \"min\": " << h->min() << ", \"max\": " << h->max()
-               << ", \"p50\": " << h->percentile(0.50)
-               << ", \"p95\": " << h->percentile(0.95)
-               << ", \"p99\": " << h->percentile(0.99) << "}";
-            first = false;
-        }
-        os << "}";
-    }
-    os << "}";
+    os << "}, \"samples\": {}}";
 }
 
 } // namespace duet

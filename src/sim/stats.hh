@@ -2,14 +2,14 @@
  * @file
  * Lightweight statistics collection.
  *
- * Components own Counter/Histogram objects registered under hierarchical
- * names; a StatRegistry dumps them in a stable, sorted order.
+ * Components own Counter objects registered under hierarchical names; a
+ * StatRegistry dumps them in a stable, sorted order. Histogram is the
+ * service telemetry's latency distribution.
  */
 
 #ifndef DUET_SIM_STATS_HH
 #define DUET_SIM_STATS_HH
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <ostream>
@@ -41,34 +41,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Accumulates samples; reports count/sum/min/max/mean. */
-class SampleStat
-{
-  public:
-    void
-    sample(double v)
-    {
-        if (count_ == 0 || v < min_)
-            min_ = v;
-        if (count_ == 0 || v > max_)
-            max_ = v;
-        sum_ += v;
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 /**
@@ -131,10 +103,10 @@ class Histogram
 };
 
 /**
- * Registry of named statistics. Components register pointers; the registry
+ * Registry of named counters. Components register pointers; the registry
  * does not own them, so register objects that outlive the registry's use.
  *
- * Registration appends to flat vectors (one per-System burst at
+ * Registration appends to a flat vector (one per-System burst at
  * construction); the sorted, deduplicated view the dumpers need is built
  * once per dump, not maintained per registration in a std::map. Re-using
  * a name replaces the earlier registration, matching the old map
@@ -148,95 +120,39 @@ class StatRegistry
         counters_.emplace_back(name, c);
     }
 
-    void registerSample(const std::string &name, const SampleStat *s)
-    {
-        samples_.emplace_back(name, s);
-    }
-
-    void registerHistogram(const std::string &name, const Histogram *h)
-    {
-        histograms_.emplace_back(name, h);
-    }
-
-    /** Dump all registered stats, sorted by name; @p filter is a glob
+    /** Dump all registered counters, sorted by name; @p filter is a glob
      *  over stat names (empty = all). */
     void dump(std::ostream &os,
               const std::string &filter = std::string()) const;
 
     /**
-     * Dump all registered stats as one JSON object:
-     * `{"counters": {name: value, ...}, "samples": {name: {...}, ...}}`.
-     * A `"histograms"` section follows only when at least one histogram
-     * passes @p filter, so existing consumers see byte-identical output
-     * until a component registers one.
+     * Dump all registered counters as one JSON object:
+     * `{"counters": {name: value, ...}, "samples": {}}`. The empty
+     * `samples` section keeps the schema consumers already parse.
      */
     void dumpJson(std::ostream &os,
                   const std::string &filter = std::string()) const;
 
+    /** Linear lookup, newest first (last registration wins, like the
+     *  old map's overwrite). Lookups are test/report-path only. */
     const Counter *
     findCounter(const std::string &name) const
     {
-        return findIn(counters_, name);
-    }
-
-    const SampleStat *
-    findSample(const std::string &name) const
-    {
-        return findIn(samples_, name);
-    }
-
-    const Histogram *
-    findHistogram(const std::string &name) const
-    {
-        return findIn(histograms_, name);
-    }
-
-  private:
-    template <typename S>
-    using Named = std::pair<std::string, const S *>;
-
-    /** Linear lookup, newest first (last registration wins, like the
-     *  old map's overwrite). Lookups are test/report-path only. */
-    template <typename S>
-    static const S *
-    findIn(const std::vector<Named<S>> &v, const std::string &name)
-    {
-        for (auto it = v.rbegin(); it != v.rend(); ++it)
+        for (auto it = counters_.rbegin(); it != counters_.rend(); ++it)
             if (it->first == name)
                 return it->second;
         return nullptr;
     }
 
+  private:
+    using Named = std::pair<std::string, const Counter *>;
+
     /** Sorted-by-name view with duplicate names collapsed to the most
      *  recent registration — byte-identical iteration order to the old
      *  std::map storage. */
-    template <typename S>
-    static std::vector<const Named<S> *>
-    sortedView(const std::vector<Named<S>> &v)
-    {
-        std::vector<const Named<S> *> view;
-        view.reserve(v.size());
-        for (const auto &e : v)
-            view.push_back(&e);
-        std::stable_sort(view.begin(), view.end(),
-                         [](const Named<S> *a, const Named<S> *b) {
-                             return a->first < b->first;
-                         });
-        // Equal names are in registration order; keep the last of each
-        // run, writing the survivors in place.
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < view.size(); ++i) {
-            if (i + 1 < view.size() && view[i + 1]->first == view[i]->first)
-                continue;
-            view[out++] = view[i];
-        }
-        view.resize(out);
-        return view;
-    }
+    std::vector<const Named *> sortedView() const;
 
-    std::vector<Named<Counter>> counters_;
-    std::vector<Named<SampleStat>> samples_;
-    std::vector<Named<Histogram>> histograms_;
+    std::vector<Named> counters_;
 };
 
 } // namespace duet

@@ -1,6 +1,7 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <ostream>
@@ -360,10 +361,6 @@ runScenario(const SweepScenario &sc, const SystemConfig &base)
 // only the pure layers (grammar, expansion, codec, derived metrics) and
 // the service layer owns all scenario scheduling.
 
-namespace
-{
-
-/** Fixed 4-decimal rendering for the derived metric columns. */
 std::string
 fmtMetric(double v)
 {
@@ -371,6 +368,9 @@ fmtMetric(double v)
     os << std::fixed << std::setprecision(4) << v;
     return os.str();
 }
+
+namespace
+{
 
 int
 modeIndex(const std::string &mode)
@@ -715,6 +715,37 @@ writeTable(std::ostream &os, const std::vector<SweepRow> &rows)
            << std::setw(14) << r.runtime / kTicksPerNs << std::setw(9)
            << fmtMetric(r.speedup) << std::setw(10) << fmtMetric(r.adpNorm)
            << "  " << (r.correct ? "yes" : "NO") << "\n";
+    }
+    // One geomean line per mode (first-appearance order) over the rows
+    // that joined a cpu partner; `n=` counts them, so modes whose rows
+    // failed are not silently compared over different sets.
+    struct Geomean
+    {
+        std::string mode;
+        std::size_t n = 0;
+        double logSpeedup = 0.0, logAdp = 0.0;
+    };
+    std::vector<Geomean> means;
+    for (const SweepRow &r : rows) {
+        if (r.speedup <= 0.0 || r.adpNorm <= 0.0)
+            continue;
+        auto it = std::find_if(means.begin(), means.end(),
+                               [&](const Geomean &g) {
+                                   return g.mode == r.mode;
+                               });
+        if (it == means.end())
+            it = means.insert(means.end(), Geomean{r.mode});
+        ++it->n;
+        it->logSpeedup += std::log(r.speedup);
+        it->logAdp += std::log(r.adpNorm);
+    }
+    for (const Geomean &g : means) {
+        const double n = static_cast<double>(g.n);
+        os << std::left << std::setw(12) << "geomean" << std::setw(12)
+           << "n=" + std::to_string(g.n) << std::setw(7) << g.mode
+           << std::right << std::setw(6 + 6 + 12 + 14 + 9)
+           << fmtMetric(std::exp(g.logSpeedup / n)) << std::setw(10)
+           << fmtMetric(std::exp(g.logAdp / n)) << "\n";
     }
 }
 

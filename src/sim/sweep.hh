@@ -171,6 +171,10 @@ runSweep(const std::vector<SweepScenario> &scenarios,
  */
 void addDerivedMetrics(std::vector<SweepRow> &rows);
 
+/** Fixed four-decimal rendering of a derived metric (speedup, area,
+ *  adp_norm, and the figure tables' rates and model values). */
+std::string fmtMetric(double v);
+
 /** Write the CSV header line. @p cacheCols adds the cache-ladder
  *  `l2_kib,l3_kib` columns (after `seed`); the default layout is
  *  byte-identical to the pre-ladder format. */
@@ -220,7 +224,10 @@ bool readSweepRows(std::istream &in, std::vector<SweepRow> &rows,
 /** Write rows as JSON-lines (one object per line). */
 void writeJsonLines(std::ostream &os, const std::vector<SweepRow> &rows);
 
-/** Write rows as an aligned human-readable table. */
+/** Write rows as an aligned human-readable table, followed by one
+ *  `geomean` line per mode with the geometric-mean speedup and
+ *  adp_norm of that mode's rows that carry derived metrics (none when
+ *  no row does). */
 void writeTable(std::ostream &os, const std::vector<SweepRow> &rows);
 
 } // namespace duet

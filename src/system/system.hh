@@ -94,7 +94,6 @@ class System
 
     // ------------------------- topology -------------------------------
     unsigned numTiles() const { return numTiles_; }
-    unsigned pTile(unsigned core) const { return core; }
     unsigned cTile() const { return cfg_.numCores; } ///< adapter C-tile
 
     Core &core(unsigned i) { return *cores_.at(i); }

@@ -204,14 +204,6 @@ TEST(Stats, CounterAndSample)
     c.inc();
     c.inc(41);
     EXPECT_EQ(c.value(), 42u);
-
-    SampleStat s;
-    s.sample(1.0);
-    s.sample(3.0);
-    EXPECT_EQ(s.count(), 2u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
 TEST(Stats, RegistryLookupAndDump)

@@ -419,6 +419,38 @@ TEST(Flags, JobsAndTimeoutAreSweepOnlyAndBounded)
     EXPECT_EQ(opts.scenarioTimeoutS, 30u);
 }
 
+TEST(Flags, FiguresRejectsOtherModesAndFlags)
+{
+    // The artifacts are the paper's fixed configurations: any mode,
+    // selection, shape, output or pool flag would change what a figure
+    // means, so everything but --paranoid is an error, on either side.
+    const std::vector<std::vector<const char *>> others = {
+        {"--sweep"},           {"--bench"},         {"--csv", "x.csv"},
+        {"--workload", "bfs"}, {"--l2-kib", "64"}, {"--jobs", "4"}};
+    for (const auto &extra : others) {
+        for (bool before : {true, false}) {
+            std::vector<const char *> args{"--figures", "figs"};
+            args.insert(before ? args.begin() : args.end(), extra.begin(),
+                        extra.end());
+            SimOptions opts;
+            std::string err;
+            EXPECT_EQ(parseArgs(args, opts, err), ParseStatus::Error)
+                << extra[0];
+            EXPECT_NE(err.find("--figures"), std::string::npos) << err;
+            EXPECT_NE(err.find(extra[0]), std::string::npos) << err;
+        }
+    }
+    SimOptions opts;
+    std::string err;
+    EXPECT_EQ(parseArgs({"--paranoid", "--figures", "figs"}, opts, err),
+              ParseStatus::Ok)
+        << err;
+    EXPECT_EQ(opts.figuresDir, "figs");
+    EXPECT_TRUE(opts.paranoid);
+    opts = SimOptions{};
+    EXPECT_EQ(parseArgs({"--figures", ""}, opts, err), ParseStatus::Error);
+}
+
 // ------------------------- aggregation --------------------------------
 
 SweepRow
@@ -466,6 +498,52 @@ TEST(Aggregate, CsvHasHeaderAndOneRowPerScenario)
     EXPECT_EQ(line.substr(0, 9), "sort,sort");
     EXPECT_NE(line.find(",false"), std::string::npos);
     EXPECT_FALSE(std::getline(is, line)); // exactly header + 2 rows
+}
+
+TEST(Aggregate, TableEndsWithOneGeomeanLinePerMode)
+{
+    // Known speedups: duet 2x and 8x (geomean 4x, adp 0.5 and 0.125 ->
+    // 0.25), one fpsoc row, and a duet row without a cpu partner that
+    // must not enter the duet geomean.
+    auto derived = [](SweepRow r, double speedup, double adp) {
+        r.speedup = speedup;
+        r.adpNorm = adp;
+        return r;
+    };
+    const std::vector<SweepRow> rows{
+        derived(makeRow("bfs", "bfs/4", "duet", 4, 0, 256, 777, 1, true),
+                2.0, 0.5),
+        derived(makeRow("bfs", "bfs/4", "cpu", 4, 0, 256, 777, 2, true),
+                1.0, 1.0),
+        derived(makeRow("sort", "sort/64", "duet", 1, 2, 64, 7, 1, true),
+                8.0, 0.125),
+        derived(makeRow("sort", "sort/64", "cpu", 1, 2, 64, 7, 8, true),
+                1.0, 1.0),
+        derived(makeRow("tangent", "tangent", "fpsoc", 1, 0, 400, 1, 1,
+                        true),
+                3.0, 0.75),
+        makeRow("popcount", "popcount", "duet", 1, 1, 96, 99, 5, true)};
+    std::ostringstream os;
+    writeTable(os, rows);
+    std::vector<std::string> lines;
+    std::istringstream is(os.str());
+    for (std::string line; std::getline(is, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 1 + rows.size() + 3);
+    // The metrics sit right-aligned under the speedup/adp_norm columns.
+    const std::string pad(6 + 6 + 12 + 14 + 9 - 6, ' ');
+    EXPECT_EQ(lines[7], "geomean     n=2         duet   " + pad + "4.0000" +
+                            "    0.2500");
+    EXPECT_EQ(lines[8], "geomean     n=2         cpu    " + pad + "1.0000" +
+                            "    1.0000");
+    EXPECT_EQ(lines[9], "geomean     n=1         fpsoc  " + pad + "3.0000" +
+                            "    0.7500");
+
+    // Rows without derived metrics (a sweep with no cpu rows) get no
+    // geomean line: the table is the rows alone.
+    std::ostringstream plain;
+    writeTable(plain, sampleRows());
+    EXPECT_EQ(plain.str().find("geomean"), std::string::npos);
 }
 
 // ------------------------- derived metrics ----------------------------
