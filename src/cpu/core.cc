@@ -1,7 +1,6 @@
 #include "cpu/core.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace duet
 {
@@ -47,14 +46,12 @@ Core::LoadOp::LoadOp(Core &c, Addr a, unsigned size, LatencyTrace *trace)
         trace = c.defaultTrace_;
     if (c.l1_.loadHit(a)) {
         c.l1Hits.inc();
-        // 1-cycle L1 hit; the value still comes from functional memory,
-        // read when the event fires so same-tick earlier stores are
-        // visible, exactly as before.
-        c.clk_.scheduleAtEdge(c.l1_.params().hitLatency,
-                              [this, cp = &c, a, size] {
-                                  obs::profClaim("cpu");
-                                  fulfill(cp->l2_.memoryRef().read(a, size));
-                              });
+        // The co_await that follows queues the frame for this edge; the
+        // value is read from functional memory when it resumes.
+        hitCore_ = &c;
+        due_ = c.clk_.edgeAfterCycles(c.l1_.params().hitLatency);
+        addr_ = a;
+        size_ = size;
         return;
     }
     CacheReq r;

@@ -13,6 +13,7 @@
 #ifndef DUET_CPU_CORE_HH
 #define DUET_CPU_CORE_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -67,11 +68,64 @@ class Core
     // in-order core model awaits immediately, which satisfies both.
     // ------------------------------------------------------------------
 
-    /** A blocking load of up to 8 bytes; resolves to the value read. */
+    /**
+     * A blocking load of up to 8 bytes; resolves to the value read.
+     *
+     * A miss completes through PendingValue like every other op. An L1
+     * hit takes no callback: the constructor records the core, the due
+     * tick, the address and the size, await_suspend() queues the
+     * waiting frame itself (EventQueue::resumeAt, as ClockDelay does),
+     * and await_resume() reads functional memory when that resume
+     * fires, so a store made earlier in the same tick is visible.
+     *
+     * Contract: co_await the op at once. The resume node takes its
+     * (when, seq) key in await_suspend(), and that key equals the one a
+     * callback scheduled in the constructor would get only because
+     * nothing schedules an event in between. Every Core::load caller
+     * awaits immediately.
+     */
     class [[nodiscard]] LoadOp : public PendingValue<std::uint64_t>
     {
       public:
         LoadOp(Core &c, Addr a, unsigned size, LatencyTrace *trace);
+
+        bool
+        await_ready() const noexcept
+        {
+            return !hitCore_ && PendingValue::await_ready();
+        }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            if (!hitCore_) {
+                PendingValue::await_suspend(h);
+                return;
+            }
+            simAssert(!queued_, "pending op awaited twice");
+            queued_ = true;
+            hitCore_->clk_.eventQueue().resumeAt(due_, h);
+        }
+
+        std::uint64_t
+        await_resume()
+        {
+            if (!hitCore_)
+                return PendingValue::await_resume();
+            DUET_DCHECK(hitCore_->clk_.eventQueue().now() >= due_,
+                        "L1-hit load resumed before its due tick");
+            return hitCore_->l2_.memoryRef().read(addr_, size_);
+        }
+
+      private:
+        /// The core whose L1 hit, or null on a miss.
+        Core *hitCore_ = nullptr;
+        /// A hit's resume tick: edgeAfterCycles(hitLatency) at issue.
+        Tick due_ = 0;
+        Addr addr_ = 0;
+        unsigned size_ = 0;
+        /// A hit's resume is queued (the op was awaited).
+        bool queued_ = false;
     };
 
     /** A blocking store (write-through L1); completion only. */

@@ -189,9 +189,12 @@ class FunctionalMemory
 
     std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
     // 1-entry MRU page cache: workload access streams are page-local, so
-    // this short-circuits most of the per-access hash lookups. Safe to
-    // keep across inserts because Page storage is heap-stable (the map
-    // rehashes unique_ptrs, not the pages). Never caches absence.
+    // this short-circuits most of the per-access hash lookups, including
+    // the one behind every L1-hit load (Core::LoadOp reads here when its
+    // resume fires). Safe to keep across inserts because Page storage is
+    // heap-stable (the map rehashes unique_ptrs, not the pages). Never
+    // caches absence: an absent page reads as zero without being
+    // created, and the first write to it goes through touchPage().
     mutable Addr lastPageNum_ = 0;
     mutable Page *lastPage_ = nullptr;
 };

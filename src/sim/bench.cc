@@ -78,7 +78,14 @@ benchScenario(const Workload &w, SystemMode mode, unsigned reps)
     };
     cfg.observer = observe;
 
-    for (unsigned r = 0; r < reps; ++r) {
+    // Rep 0 is an untimed warm-up. A row's first run pays one-off host
+    // costs that no later rep repeats (the process's first System lease
+    // is cold; the row's code and data are not yet in cache), so it is
+    // often the row's slowest rep and would skew the mean. The warm-up
+    // still joins the drift check: reps replay a deterministic
+    // simulation, so a drifting event or tick count means the bench
+    // measured two different runs.
+    for (unsigned r = 0; r <= reps; ++r) {
         events = 0;
         ticks = 0;
         auto t0 = std::chrono::steady_clock::now();
@@ -89,16 +96,12 @@ benchScenario(const Workload &w, SystemMode mode, unsigned reps)
             row.correct = res.correct;
             row.events = events;
             row.ticks = ticks;
-            row.wallMsMin = ms;
-            row.wallMsMean = ms;
-        } else {
-            // Reps replay a deterministic simulation; a drifting event
-            // or tick count means the bench measured two different runs.
-            row.correct = row.correct && res.correct &&
-                          events == row.events && ticks == row.ticks;
-            row.wallMsMin = std::min(row.wallMsMin, ms);
-            row.wallMsMean += ms;
+            continue;
         }
+        row.correct = row.correct && res.correct && events == row.events &&
+                      ticks == row.ticks;
+        row.wallMsMin = r == 1 ? ms : std::min(row.wallMsMin, ms);
+        row.wallMsMean += ms;
     }
     row.wallMsMean /= reps;
     return row;

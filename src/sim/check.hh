@@ -20,6 +20,13 @@
  * Both macros throw SimPanic (never abort), matching panic(): gtest
  * suites can pin the traps with EXPECT_THROW, and an escaped violation
  * still terminates the process through std::terminate.
+ *
+ * The message is built out of line, inside detail::checkFailedCold():
+ * the call site hands over a reference-capturing lambda and holds no
+ * string temporaries. That keeps the panic text when a failing check
+ * is inlined into a noexcept function: with message temporaries in the
+ * caller, GCC before 14 unwinds into their cleanup and calls
+ * std::terminate with no active exception, and the text is lost.
  */
 
 #ifndef DUET_SIM_CHECK_HH
@@ -55,14 +62,28 @@ void setParanoidChecks(bool on);
                               const char *file, int line,
                               const std::string &msg);
 
+namespace detail
+{
+/** The macros' failure path: build the message from @p msg (a callable
+ *  returning it) and report it, all out of line. */
+template <typename MsgFn>
+[[noreturn, gnu::noinline, gnu::cold]] void
+checkFailedCold(const char *kind, const char *expr, const char *file,
+                int line, const MsgFn &msg)
+{
+    checkFailed(kind, expr, file, line, msg());
+}
+} // namespace detail
+
 } // namespace duet
 
 /** Always-on simulator invariant; panics (throws SimPanic) on violation. */
 #define DUET_ASSERT(cond, msg)                                              \
     do {                                                                    \
         if (!(cond)) [[unlikely]]                                           \
-            ::duet::checkFailed("DUET_ASSERT", #cond, __FILE__, __LINE__,   \
-                                (msg));                                     \
+            ::duet::detail::checkFailedCold(                                \
+                "DUET_ASSERT", #cond, __FILE__, __LINE__,                   \
+                [&]() -> std::string { return (msg); });                    \
     } while (false)
 
 /** Paranoid invariant: evaluated only when paranoidChecks() is on
@@ -70,8 +91,9 @@ void setParanoidChecks(bool on);
 #define DUET_DCHECK(cond, msg)                                              \
     do {                                                                    \
         if (::duet::paranoidChecks() && !(cond)) [[unlikely]]               \
-            ::duet::checkFailed("DUET_DCHECK", #cond, __FILE__, __LINE__,   \
-                                (msg));                                     \
+            ::duet::detail::checkFailedCold(                                \
+                "DUET_DCHECK", #cond, __FILE__, __LINE__,                   \
+                [&]() -> std::string { return (msg); });                    \
     } while (false)
 
 #endif // DUET_SIM_CHECK_HH

@@ -109,8 +109,9 @@ simUsage()
         "                    defaults) in-process and report wall time,\n"
         "                    events/sec and ticks/sec per scenario as one\n"
         "                    JSON document (schema duet-bench-sim/1)\n"
-        "  --bench-reps N    repetitions per scenario; the report carries\n"
-        "                    the min and mean wall time (default: 3)\n"
+        "  --bench-reps N    timed repetitions per scenario, after one\n"
+        "                    untimed warm-up; the report carries the min\n"
+        "                    and mean wall time (default: 3)\n"
         "  --bench-out PATH  write the report to PATH (atomically, via\n"
         "                    PATH.tmp + rename; `-` = stdout, the default)\n"
         "\n"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string>
 
 #include "sim/check.hh"
 #include "sim/trace.hh"
@@ -23,8 +22,8 @@ EventQueue::dispatch(std::uint64_t ref)
     // its own captures, and its slot only joins the free-list after it
     // returns. runDestroy() fuses the call and the capture teardown into
     // one indirect call.
-    const auto slot = static_cast<std::uint32_t>(ref >> 1);
-    slotRef(slot).runDestroy();
+    Slot *slot = slotOf(ref);
+    slot->runDestroy();
     free_.push_back(slot);
 }
 
@@ -61,14 +60,6 @@ EventQueue::run(Tick limit)
             dispatch(n.ref);
     }
     return true;
-}
-
-void
-EventQueue::pastEvent(Tick when) const
-{
-    checkFailed("DUET_ASSERT", "when >= now_", __FILE__, __LINE__,
-                "event scheduled in the past (tick " + std::to_string(when) +
-                    " < now " + std::to_string(now_) + ")");
 }
 
 void

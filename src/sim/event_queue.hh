@@ -8,9 +8,10 @@
  *
  * Layout: pending events are 24-byte Node records (when, seq, ref). A
  * callback sits in a chunked side slab, recycled through a LIFO
- * free-list, and the node refers to its slot; a coroutine waiting out a
- * delay (ClockDelay) needs no callback, so its node refers to the frame
- * itself and dispatch resumes it directly. Nodes live in two tiers:
+ * free-list, and the node points at its slot; a coroutine waiting out a
+ * delay (ClockDelay, an L1 hit's Core::LoadOp) needs no callback, so its
+ * node points at the frame itself and dispatch resumes it directly.
+ * Nodes live in two tiers:
  *
  *  - the *front*, a sorted ring of at most kFrontSlots nodes holding the
  *    earliest pending events. A new node carries the largest seq, so it
@@ -85,9 +86,9 @@ class EventQueue
     void
     schedule(Tick when, F &&fn)
     {
-        const std::uint32_t slot = acquireSlot(when);
-        slotRef(slot).emplace(std::forward<F>(fn));
-        commit(when, (std::uint64_t{slot} << 1) | 1);
+        Slot *slot = acquireSlot(when);
+        slot->emplace(std::forward<F>(fn));
+        commit(when, std::bit_cast<std::uint64_t>(slot) | 1);
     }
 
     /** Schedule @p fn to run @p delta ticks from now. */
@@ -161,9 +162,11 @@ class EventQueue
 
   private:
     /** Pending-event record: the full (when, seq) ordering key plus what
-     *  to dispatch. @c ref holds a slab slot as (slot << 1) | 1, or the
-     *  (even) address of a coroutine frame to resume. Kept POD-small so
-     *  the front's shifts and the heap's sifts are cheap. */
+     *  to dispatch. @c ref is a tagged pointer: a slab slot's address
+     *  with bit 0 set (a Slot is max_align_t-aligned, so the bit is
+     *  free), or the even address of a coroutine frame to resume. Either
+     *  way dispatch reaches its target with no table lookup. Kept
+     *  POD-small so the front's shifts and the heap's sifts are cheap. */
     struct Node
     {
         Tick when;
@@ -262,45 +265,38 @@ class EventQueue
     /// pending at most, so one small chunk is all most Systems carve.
     static constexpr std::uint32_t kChunkShift = 6;
     static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+    static_assert(alignof(Slot) >= 2, "a slot pointer's bit 0 is its tag");
 
-    Slot &
-    slotRef(std::uint32_t slot)
+    /** The slot a slab-tagged @c ref points at. */
+    static Slot *
+    slotOf(std::uint64_t ref)
     {
-        return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
+        return std::bit_cast<Slot *>(ref & ~std::uint64_t{1});
     }
 
     /** Trap an event due before now(): time only moves forward. */
     void
     checkNotPast(Tick when) const
     {
-        if (when < now_) [[unlikely]]
-            pastEvent(when);
+        DUET_ASSERT(when >= now_, "event scheduled in the past (tick " +
+                                      std::to_string(when) + " < now " +
+                                      std::to_string(now_) + ")");
     }
 
-    /**
-     * checkNotPast()'s DUET_ASSERT failure, kept out of line so callers
-     * hold no message temporaries around the throw. An inlined caller
-     * inside a noexcept function would otherwise unwind through their
-     * cleanup, and GCC before 14 then calls std::terminate with no
-     * active exception, losing the panic text.
-     */
-    [[noreturn, gnu::noinline, gnu::cold]] void pastEvent(Tick when) const;
-
     /** Claim an (empty) slab slot for an event due at @p when. */
-    std::uint32_t
+    Slot *
     acquireSlot(Tick when)
     {
         checkNotPast(when);
-        std::uint32_t slot;
         if (!free_.empty()) {
-            slot = free_.back();
+            Slot *slot = free_.back();
             free_.pop_back();
-        } else {
-            if (slots_ == chunks_.size() << kChunkShift)
-                chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
-            slot = slots_++;
+            return slot;
         }
-        return slot;
+        if (slots_ == chunks_.size() << kChunkShift)
+            chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+        const std::uint32_t i = slots_++;
+        return &chunks_[i >> kChunkShift][i & (kChunkSlots - 1)];
     }
 
     /**
@@ -329,8 +325,8 @@ class EventQueue
     {
         if ((n.ref & 1) == 0)
             return;
-        const auto slot = static_cast<std::uint32_t>(n.ref >> 1);
-        slotRef(slot).reset();
+        Slot *slot = slotOf(n.ref);
+        slot->reset();
         free_.push_back(slot);
     }
 
@@ -355,14 +351,14 @@ class EventQueue
     // independent of tier sizes, heap arity and intermediate layout:
     // bit-identical to the seed implementation.
     std::vector<Node> heap_;
-    /// Callback storage, indexed by slot number. Chunked so slots never
-    /// move: run() can invoke an event in place while the callback
-    /// grows the slab.
+    /// Callback storage. Chunked so slots never move: a node may hold a
+    /// slot's address, and run() can invoke an event in place while the
+    /// callback grows the slab.
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     /// Slots handed out so far (all chunks before slots_ are constructed).
     std::uint32_t slots_ = 0;
     /// LIFO recycler of vacated slab slots.
-    std::vector<std::uint32_t> free_;
+    std::vector<Slot *> free_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -10,7 +10,11 @@
  * caller-chosen byte budget inline (no allocation, trivially relocated by
  * the owner's container) and falls back to the heap only for oversized or
  * throwing-move captures, so the common simulator capture shapes
- * ([this, msg], [this, req, arrival], [op, value]) never allocate.
+ * ([this, msg], [this, req, arrival], [op, value]) never allocate. A
+ * capture that is trivially copyable and trivially destructible (only
+ * pointers and integers, like the CacheReq completions) installs no
+ * manager at all: moving it is a fixed-size buffer copy and dropping it
+ * clears the invoke pointer, with no indirect call on either path.
  *
  * Differences from std::function, on purpose:
  *  - move-only (copying a capture would be a hidden cost; none of the
@@ -28,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -66,6 +71,13 @@ class InlineFunction<R(Args...), Bytes>
         sizeof(F) <= Bytes && alignof(F) <= alignof(std::max_align_t) &&
         std::is_nothrow_move_constructible_v<F>;
 
+    /// An inline capture whose bytes are its value: it relocates by
+    /// copying the buffer and needs no teardown, so it gets no manager.
+    template <typename F>
+    static constexpr bool bitwiseInline =
+        fitsInline<F> && std::is_trivially_copyable_v<F> &&
+        std::is_trivially_destructible_v<F>;
+
   public:
     /// The inline capture budget, for tests probing the boundary.
     static constexpr std::size_t kInlineBytes = Bytes;
@@ -102,15 +114,17 @@ class InlineFunction<R(Args...), Bytes>
 
     ~InlineFunction() { reset(); }
 
-    /** Drop the held callable (if any); leaves *this empty. */
+    /** Drop the held callable (if any); leaves *this empty. A bitwise
+     *  capture has no manager and nothing to destroy. */
     void
     reset() noexcept
     {
         if (manage_) {
             manage_(Op::Destroy, &buf_, nullptr);
             manage_ = nullptr;
-            invoke_ = nullptr;
         }
+        invoke_ = nullptr;
+        heap_ = false;
     }
 
     explicit operator bool() const noexcept { return invoke_ != nullptr; }
@@ -138,16 +152,22 @@ class InlineFunction<R(Args...), Bytes>
         reset();
         using Fn = std::remove_cvref_t<F>;
         if constexpr (fitsInline<Fn>) {
+            // A bitwise capture moves by copying the whole buffer, so
+            // the bytes past (and inside) it get a value first.
+            if constexpr (bitwiseInline<Fn>)
+                std::memset(&buf_, 0, Bytes);
             ::new (static_cast<void *>(&buf_)) Fn(std::forward<F>(f));
             invoke_ = [](void *p, Args... args) -> R {
                 return (*static_cast<Fn *>(p))(std::forward<Args>(args)...);
             };
-            manage_ = +[](Op op, void *src, void *dst) noexcept {
-                Fn *from = static_cast<Fn *>(src);
-                if (op == Op::MoveTo)
-                    ::new (dst) Fn(std::move(*from));
-                from->~Fn();
-            };
+            if constexpr (!bitwiseInline<Fn>) {
+                manage_ = +[](Op op, void *src, void *dst) noexcept {
+                    Fn *from = static_cast<Fn *>(src);
+                    if (op == Op::MoveTo)
+                        ::new (dst) Fn(std::move(*from));
+                    from->~Fn();
+                };
+            }
             heap_ = false;
         } else {
             // Oversized (or throwing-move) capture: one owning pointer in
@@ -172,12 +192,19 @@ class InlineFunction<R(Args...), Bytes>
     }
 
   private:
+    /** Take @p other's callable; @pre *this is empty. A bitwise capture
+     *  (no manager) relocates by copying the whole fixed-size buffer. */
     void
     moveFrom(InlineFunction &other) noexcept
     {
-        if (!other.manage_)
+        if (!other.invoke_)
             return;
-        other.manage_(Op::MoveTo, &other.buf_, &buf_);
+        if (other.manage_) {
+            other.manage_(Op::MoveTo, &other.buf_, &buf_);
+        } else {
+            // lint: checked-memcpy(both buffers are exactly Bytes long)
+            std::memcpy(&buf_, &other.buf_, Bytes);
+        }
         invoke_ = other.invoke_;
         manage_ = other.manage_;
         heap_ = other.heap_;

@@ -53,6 +53,19 @@ fatal(const std::string &msg)
     throw SimFatal("fatal: " + msg);
 }
 
+namespace detail
+{
+/** simAssert's failure path: build the message from @p msg (a callable
+ *  returning it) and panic, all out of line, so the asserting caller
+ *  holds no string temporaries (see sim/check.hh). */
+template <typename MsgFn>
+[[noreturn, gnu::noinline, gnu::cold]] void
+panicCold(const MsgFn &msg)
+{
+    panic(msg());
+}
+} // namespace detail
+
 /**
  * Print a non-fatal warning to stderr.
  *
@@ -99,12 +112,15 @@ warn(const std::string &msg)
  * expression — almost always a string concatenation like
  * `name_ + ": ..."` — is only materialized on failure; hot paths assert
  * millions of times per scenario and must not pay a string build each
- * time.
+ * time. The message is built inside detail::panicCold(), out of line,
+ * so the panic text survives a failure inlined into a noexcept
+ * function.
  */
 #define simAssert(cond, msg)                                                \
     do {                                                                    \
         if (!(cond)) [[unlikely]]                                           \
-            ::duet::panic((msg));                                           \
+            ::duet::detail::panicCold(                                      \
+                [&]() -> std::string { return (msg); });                    \
     } while (false)
 
 #endif // DUET_SIM_LOGGING_HH

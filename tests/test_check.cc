@@ -10,6 +10,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,21 @@ TEST(CheckDeathTest, UncaughtAssertViolationDies)
     EXPECT_DEATH(
         []() noexcept { DUET_ASSERT(false, "unrecoverable invariant"); }(),
         "unrecoverable invariant");
+}
+
+// simAssert builds its message out of line, so a concatenated message
+// inlined into a noexcept function leaves no string temporaries behind:
+// the process dies with the built text, not "terminate called without
+// an active exception".
+TEST(CheckDeathTest, UncaughtSimAssertKeepsItsConcatenatedMessage)
+{
+    const std::string who = "core3";
+    EXPECT_DEATH(
+        [&who]() noexcept {
+            simAssert(who.empty(), who + ": stray response " +
+                                       std::to_string(7) + " at the core");
+        }(),
+        "core3: stray response 7 at the core");
 }
 
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <functional>
 #include <set>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -145,6 +146,39 @@ TEST(InlineFunction, ResetAndReassignDestroyExactlyOnce)
     f = [] { return 3; }; // replacement destroys the old capture
     EXPECT_EQ(Probe::live, 0);
     EXPECT_EQ(f(), 3);
+}
+
+TEST(InlineFunction, TriviallyCopyableCaptureSurvivesVectorRelocation)
+{
+    // A capture of pointers and integers (the CacheReq completion shape)
+    // installs no manager: a move copies the buffer. Growing a vector
+    // relocates every element that way, many times over; each must still
+    // run with its own captured values, and a moved-from one is empty.
+    using DoneFn = InlineFunction<std::uint64_t(std::uint64_t), 40>;
+    constexpr std::uint64_t kFns = 1000;
+    std::vector<std::uint64_t> cells(kFns, 0);
+    std::vector<DoneFn> fns;
+    for (std::uint64_t i = 0; i < kFns; ++i) {
+        auto fn = [cell = &cells[i], tag = i * 7919, i](std::uint64_t v) {
+            *cell = v + tag;
+            return i;
+        };
+        static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+        fns.emplace_back(fn);
+        ASSERT_TRUE(fns.back().storedInline());
+    }
+    for (std::uint64_t i = 0; i < kFns; ++i) {
+        EXPECT_EQ(fns[i](i), i);
+        EXPECT_EQ(cells[i], i + i * 7919);
+    }
+    DoneFn moved = std::move(fns[3]);
+    EXPECT_FALSE(static_cast<bool>(fns[3]));
+    EXPECT_EQ(moved(1), 3u);
+    EXPECT_EQ(cells[3], 1u + 3 * 7919);
+    moved = std::move(fns[4]);
+    EXPECT_EQ(moved(0), 4u);
+    moved.reset();
+    EXPECT_FALSE(static_cast<bool>(moved));
 }
 
 // ---------------------------------------------------------------------

@@ -116,6 +116,50 @@ TEST(Clock, FrequencyChangeRealignsEdges)
     EXPECT_EQ(clk.edgeAtOrAfter(3501), 5500u);
 }
 
+TEST(Clock, EdgeAtOrAfterMatchesTheDivisionFormula)
+{
+    // edgeAtOrAfter() answers most queries from its edge cache and
+    // divides only on a far jump. Both paths must equal ceil-division
+    // for seeded random periods, origins and queries, from a 1 MHz
+    // clock to a one-tick period, past 2^50, and after setFrequencyMHz
+    // moves the origin.
+    auto reference = [](Tick origin, Tick period, Tick t) -> Tick {
+        if (t <= origin)
+            return origin;
+        return origin + (t - origin + period - 1) / period * period;
+    };
+    std::mt19937_64 rng(20261020);
+    std::vector<std::uint64_t> mhzs = {1, 3, 7, 20, 333, 1000, 999'999,
+                                       1'000'000};
+    for (int i = 0; i < 24; ++i)
+        mhzs.push_back(1 + rng() % 1'000'000);
+    std::uint64_t checked = 0;
+    for (std::uint64_t mhz : mhzs) {
+        for (const Tick start : {Tick{0}, Tick{rng() % 1'000'000'000},
+                                 (Tick{1} << 50) + rng() % (Tick{1} << 40)}) {
+            EventQueue eq;
+            ClockDomain clk(eq, "clk", 1 + rng() % 1'000'000);
+            // setFrequencyMHz() at tick `start` moves the origin there.
+            eq.schedule(start, [&] { clk.setFrequencyMHz(mhz); });
+            eq.run();
+            const Tick period = clk.period();
+            Tick t = start;
+            for (int q = 0; q < 400; ++q) {
+                switch (rng() % 4) {
+                  case 0: t += rng() % (2 * period + 1); break;
+                  case 1: t += rng() % (Tick{1} << 20); break;
+                  case 2: t = start + rng() % (Tick{1} << 52); break;
+                  default: t = start + (rng() % 64) * period; break;
+                }
+                ASSERT_EQ(clk.edgeAtOrAfter(t), reference(start, period, t))
+                    << "mhz " << mhz << " origin " << start << " t " << t;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, mhzs.size() * 3 * 400);
+}
+
 TEST(Clock, ScheduleAtEdge)
 {
     EventQueue eq;

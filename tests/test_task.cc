@@ -4,7 +4,8 @@
  * PendingValue/PendingVoid lifetime and fast-path discipline, the
  * queue's resume nodes (ClockDelay-vs-scheduleAtEdge tick equivalence,
  * one callback slot reused across a steady ClockDelay loop, reset()
- * with resumes still pending, and pop-order identity with a naive
+ * with resumes still pending, L1-hit loads resuming from their node
+ * like ClockDelay, and pop-order identity with a naive
  * reference queue across ~a million mixed one-shot events and resumed
  * coroutines), MMIO transaction-table behaviour under a flood of
  * outstanding requests, and whole-workload timing identity across
@@ -29,6 +30,7 @@
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "sim/task.hh"
+#include "system/system.hh"
 #include "workload/apps.hh"
 
 namespace duet
@@ -232,6 +234,135 @@ TEST(ClockDelay, ResetDropsPendingResumesOfDrainedFrames)
     EXPECT_EQ(eq.executed(), 0u);
     EXPECT_EQ(iterations, before);
     EXPECT_FALSE(ran);
+}
+
+// ---------------------------------------------------------------------
+// Core::LoadOp: an L1 hit resumes its frame from the queue node
+// ---------------------------------------------------------------------
+
+/** A one-core CPU-only System. */
+SystemConfig
+oneCoreConfig()
+{
+    SystemConfig cfg;
+    cfg.numCores = 1;
+    cfg.numMemHubs = 0;
+    cfg.mode = SystemMode::CpuOnly;
+    return cfg;
+}
+
+constexpr Addr kHitAddr = 0x10000;
+
+/** What runHitLoop() saw: resume ticks, slab slots in use while each
+ *  wait was in flight (summed), events the loop ran, and L1 hits. */
+struct HitLoop
+{
+    std::vector<Tick> resumed;
+    std::uint64_t slotsInFlight = 0;
+    std::uint64_t events = 0;
+    std::uint64_t l1Hits = 0;
+};
+
+/**
+ * Run @p iters L1-hit waits on core 0 after one filling load, each
+ * preceded by a ClockDelay on a 333 MHz clock so the hit is issued off
+ * the core's edges. With @p viaLoad the wait is a real load; otherwise
+ * it is the callback a hit used to schedule: scheduleAtEdge(hitLatency)
+ * fulfilling a PendingValue.
+ */
+HitLoop
+runHitLoop(bool viaLoad, unsigned iters)
+{
+    HitLoop out;
+    System sys(oneCoreConfig());
+    sys.memory().write(kHitAddr, 8, 0x5eed);
+    ClockDomain odd(sys.eventQueue(), "odd", 333);
+    sys.core(0).start([&](Core &c) -> CoTask<void> {
+        EventQueue &eq = sys.eventQueue();
+        EXPECT_EQ(co_await c.load(kHitAddr), 0x5eedu); // miss: fills L1
+        const Cycles hit = c.l1().params().hitLatency;
+        const std::uint64_t before = eq.executed();
+        for (unsigned i = 0; i < iters; ++i) {
+            co_await ClockDelay(odd, 1 + i % 3);
+            std::uint64_t v = 0;
+            if (viaLoad) {
+                auto op = c.load(kHitAddr);
+                out.slotsInFlight += eq.slabSlots() - eq.freeSlots();
+                v = co_await op;
+            } else {
+                ValueOp op;
+                c.clock().scheduleAtEdge(hit, [&op] { op.fulfill(0x5eed); });
+                out.slotsInFlight += eq.slabSlots() - eq.freeSlots();
+                v = co_await op;
+            }
+            EXPECT_EQ(v, 0x5eedu);
+            out.resumed.push_back(eq.now());
+        }
+        out.events = eq.executed() - before;
+    });
+    sys.run();
+    out.l1Hits = sys.core(0).l1Hits.value();
+    return out;
+}
+
+TEST(CoreLoad, L1HitLoopFiresOnScheduleAtEdgeTicksWithoutSlabSlots)
+{
+    // Each hit is one executed event on the edge a
+    // scheduleAtEdge(hitLatency) callback lands on, and no hit holds a
+    // slab slot while it is in flight.
+    constexpr unsigned kIters = 3000;
+    const HitLoop loads = runHitLoop(true, kIters);
+    const HitLoop callbacks = runHitLoop(false, kIters);
+    EXPECT_EQ(loads.l1Hits, kIters);
+    EXPECT_EQ(loads.slotsInFlight, 0u);
+    EXPECT_EQ(callbacks.slotsInFlight, kIters); // the slot a hit used
+    EXPECT_EQ(loads.events, 2u * kIters);       // delay + hit per round
+    EXPECT_EQ(loads.events, callbacks.events);
+    EXPECT_EQ(loads.resumed, callbacks.resumed);
+}
+
+TEST(CoreLoad, L1HitReadsAStoreMadeEarlierInItsResumeTick)
+{
+    // The hit's value is read when its resume fires, not at issue: a
+    // write queued earlier for the resume's tick is visible.
+    System sys(oneCoreConfig());
+    sys.memory().write(kHitAddr, 8, 1);
+    std::uint64_t got = 0;
+    sys.core(0).start([&](Core &c) -> CoTask<void> {
+        co_await c.load(kHitAddr); // miss: fills L1
+        const Tick due =
+            c.clock().edgeAfterCycles(c.l1().params().hitLatency);
+        sys.eventQueue().schedule(due,
+                                  [&] { sys.memory().write(kHitAddr, 8, 2); });
+        got = co_await c.load(kHitAddr);
+        EXPECT_EQ(sys.eventQueue().now(), due);
+    });
+    sys.run();
+    EXPECT_EQ(sys.core(0).l1Hits.value(), 1u);
+    EXPECT_EQ(got, 2u);
+}
+
+TEST(CoreLoad, AwaitingALoadTwiceTraps)
+{
+    // An L1 hit queues its own resume, so it keeps its own
+    // awaited-twice trap; a miss keeps PendingValue's.
+    System sys(oneCoreConfig());
+    sys.core(0).start([&](Core &c) -> CoTask<void> {
+        co_await c.load(kHitAddr); // fill the L1
+    });
+    sys.run();
+    Core &core = sys.core(0);
+    Core::LoadOp hit(core, kHitAddr, 8, nullptr);
+    EXPECT_EQ(core.l1Hits.value(), 1u);
+    EXPECT_FALSE(hit.await_ready());
+    hit.await_suspend(std::noop_coroutine());
+    EXPECT_THROW(hit.await_suspend(std::noop_coroutine()), SimPanic);
+
+    Core::LoadOp miss(core, kHitAddr + 4096, 8, nullptr);
+    EXPECT_EQ(core.l1Hits.value(), 1u);
+    miss.await_suspend(std::noop_coroutine());
+    EXPECT_THROW(miss.await_suspend(std::noop_coroutine()), SimPanic);
+    sys.run(); // both ops outlive their completions
 }
 
 // ---------------------------------------------------------------------
