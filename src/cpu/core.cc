@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include "sim/logging.hh"
+#include "sim/trace.hh"
 
 namespace duet
 {
@@ -64,6 +65,58 @@ Core::LoadOp::LoadOp(Core &c, Addr a, unsigned size, LatencyTrace *trace)
         fulfill(v);
     };
     c.l2_.request(std::move(r));
+}
+
+void
+Core::SpinOp::poll()
+{
+    Core &c = core_;
+    c.loads.inc();
+    if (c.l1_.loadHit(addr_)) {
+        c.l1Hits.inc();
+        fire = &onHit;
+        c.clk_.eventQueue().post(
+            c.clk_.edgeAfterCycles(c.l1_.params().hitLatency), *this);
+        return;
+    }
+    CacheReq r;
+    r.kind = CacheReq::Kind::Load;
+    r.addr = addr_;
+    r.size = 8;
+    r.trace = c.defaultTrace_;
+    r.done = [this](std::uint64_t v) {
+        core_.l1_.fill(addr_);
+        check(v);
+    };
+    c.l2_.request(std::move(r));
+}
+
+void
+Core::SpinOp::check(std::uint64_t v)
+{
+    if ((v != 0) == nonzero_) {
+        value_ = v;
+        // Tail position: the resumed frame may destroy *this.
+        waiter_.resume();
+        return;
+    }
+    fire = &onDelay;
+    core_.clk_.eventQueue().post(core_.clk_.edgeAfterCycles(1), *this);
+}
+
+void
+Core::SpinOp::onHit(EventQueue::Event &e)
+{
+    obs::profClaim("cpu");
+    auto &op = static_cast<SpinOp &>(e);
+    op.check(op.core_.l2_.memoryRef().read(op.addr_, 8));
+}
+
+void
+Core::SpinOp::onDelay(EventQueue::Event &e)
+{
+    obs::profClaim("cpu");
+    static_cast<SpinOp &>(e).poll();
 }
 
 Core::StoreOp::StoreOp(Core &c, Addr a, std::uint64_t v, unsigned size,

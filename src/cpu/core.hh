@@ -128,6 +128,64 @@ class Core
         bool queued_ = false;
     };
 
+    /**
+     * A spin-wait: poll the 8-byte word at an address once per cycle
+     * until (value != 0) equals the wanted sense; resolves to the last
+     * value read. It replaces the loop
+     *
+     *     while (((v = co_await c.load(a)) != 0) != nonzero)
+     *         co_await ClockDelay(c.clock(), 1);
+     *
+     * event for event: each poll is issued as LoadOp issues a load (the
+     * same stats, L1 lookup and hit latency; a miss goes to the L2 and
+     * fills the L1), and a failed check waits one cycle before the next
+     * poll. The op itself is the queued record (EventQueue::post): an
+     * L1-hit poll fires onHit(), which reads functional memory, and the
+     * one-cycle wait fires onDelay(), which issues the next poll. The
+     * awaiting frame resumes only once the check passes, inline in the
+     * event that read the value.
+     *
+     * Contract: co_await the op at once, as with LoadOp; the first poll
+     * issues in await_suspend().
+     */
+    class [[nodiscard]] SpinOp : EventQueue::Event
+    {
+      public:
+        SpinOp(Core &c, Addr a, bool nonzero)
+            : core_(c), addr_(a), nonzero_(nonzero)
+        {}
+        SpinOp(const SpinOp &) = delete;
+        SpinOp &operator=(const SpinOp &) = delete;
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            simAssert(!waiter_, "pending op awaited twice");
+            waiter_ = h;
+            poll();
+        }
+
+        std::uint64_t await_resume() const noexcept { return value_; }
+
+      private:
+        /** Issue one poll: an L1 hit posts onHit() at the hit latency;
+         *  a miss requests the line from the L2. */
+        void poll();
+        /** Resume the waiter if @p v passes the check, else post the
+         *  one-cycle wait. */
+        void check(std::uint64_t v);
+        static void onHit(EventQueue::Event &e);
+        static void onDelay(EventQueue::Event &e);
+
+        Core &core_;
+        Addr addr_;
+        bool nonzero_;
+        std::uint64_t value_ = 0;
+        std::coroutine_handle<> waiter_;
+    };
+
     /** A blocking store (write-through L1); completion only. */
     class [[nodiscard]] StoreOp : public PendingVoid
     {
@@ -186,6 +244,14 @@ class Core
         unsigned size = 8)
     {
         return AtomicOp(*this, op, a, operand, operand2, size);
+    }
+
+    /** Spin on the word at @p a until it is nonzero (@p nonzero) or
+     *  zero (!@p nonzero); returns the last value read. */
+    SpinOp
+    spinUntil(Addr a, bool nonzero)
+    {
+        return SpinOp(*this, a, nonzero);
     }
 
     /** Model @p cycles of pipeline work (ALU/FPU/branches). */

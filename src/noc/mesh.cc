@@ -75,54 +75,107 @@ Mesh::registerEndpoint(NodeId id, Sink sink)
     slot = std::move(sink);
 }
 
+Mesh::Flight &
+Mesh::acquireFlight()
+{
+    if (freeFlights_ == nullptr) {
+        flightChunks_.push_back(std::make_unique<Flight[]>(kFlightChunk));
+        Flight *chunk = flightChunks_.back().get();
+        for (std::size_t i = kFlightChunk; i-- > 0;) {
+            chunk[i].mesh = this;
+            chunk[i].nextFree = freeFlights_;
+            freeFlights_ = &chunk[i];
+        }
+    }
+    Flight &f = *freeFlights_;
+    freeFlights_ = f.nextFree;
+    return f;
+}
+
 void
-Mesh::inject(Message msg)
+Mesh::releaseFlight(Flight &f)
+{
+    f.nextFree = freeFlights_;
+    freeFlights_ = &f;
+}
+
+void
+Mesh::launch(Flight &f, Tick when, void (*fire)(EventQueue::Event &))
+{
+    f.fire = fire;
+    clk_.eventQueue().post(when, f);
+}
+
+void
+Mesh::onStep(EventQueue::Event &e)
+{
+    auto &f = static_cast<Flight &>(e);
+    f.mesh->step(f);
+}
+
+void
+Mesh::onArrive(EventQueue::Event &e)
+{
+    auto &f = static_cast<Flight &>(e);
+    f.mesh->expressArrive(f);
+}
+
+void
+Mesh::onDeliver(EventQueue::Event &e)
+{
+    auto &f = static_cast<Flight &>(e);
+    f.mesh->deliver(f);
+}
+
+void
+Mesh::inject(const Message &msg)
 {
     simAssert(msg.src.tile < numTiles(), "source tile out of range");
     simAssert(msg.dst.tile < numTiles(), "dest tile out of range");
-    msg.injectTick = clk_.eventQueue().now();
+    Flight &f = acquireFlight();
+    f.msg = msg;
+    f.msg.injectTick = clk_.eventQueue().now();
     if (TraceSink *ts = obs::trace()) {
         if (ts->enabled(TraceCat::Noc)) {
-            msg.traceId = ts->nextAsyncId();
-            ts->asyncBegin(TraceCat::Noc, msgTypeName(msg.type),
-                           msg.traceId, msg.injectTick);
+            f.msg.traceId = ts->nextAsyncId();
+            ts->asyncBegin(TraceCat::Noc, msgTypeName(f.msg.type),
+                           f.msg.traceId, f.msg.injectTick);
         }
     }
     // An outstanding express flight loses its idle-mesh precondition the
     // moment anything else enters: put it back on the hop-by-hop path
-    // *before* this message schedules anything, so the resumed step event
+    // *before* this message posts anything, so the resumed step event
     // keeps the earlier queue position the original chain would have had.
-    if (flight_.active)
+    if (flight_.rec != nullptr)
         deExpress();
     ++inFlight_;
     if (cfg_.express && inFlight_ == 1 && msg.src.tile != msg.dst.tile) {
-        expressInject(msg);
+        expressInject(f);
         return;
     }
     // Enter the source router at the next clock edge.
-    unsigned tile = msg.src.tile;
-    clk_.scheduleAtEdge(0, [this, tile, msg] { step(tile, msg); });
+    f.tile = msg.src.tile;
+    launch(f, clk_.edgeAfterCycles(0), &onStep);
 }
 
 void
-Mesh::step(unsigned tile, Message msg)
+Mesh::step(Flight &f)
 {
     obs::profClaim("noc");
-    EventQueue &eq = clk_.eventQueue();
-    const Tick now = eq.now();
+    const Tick now = clk_.eventQueue().now();
 
-    const RouteEntry &re = route(tile, msg.dst.tile);
+    const RouteEntry &re = route(f.tile, f.msg.dst.tile);
     if (re.dir == Local) {
         // Arrived: eject to the local port.
-        Tick when = clk_.edgeAtOrAfter(now) +
-                    clk_.cyclesToTicks(cfg_.ejectCycles);
-        eq.schedule(when, [this, msg] { deliver(msg); });
+        launch(f,
+               clk_.edgeAtOrAfter(now) + clk_.cyclesToTicks(cfg_.ejectCycles),
+               &onDeliver);
         return;
     }
 
     // Router pipeline, then serialize flits onto the output link.
-    Router &r = routers_[tile];
-    const unsigned flits = flitsOf(msg.type);
+    Router &r = routers_[f.tile];
+    const unsigned flits = flitsOf(f.msg.type);
     Tick ready = clk_.edgeAtOrAfter(now) +
                  clk_.cyclesToTicks(cfg_.routerCycles);
     Tick depart = std::max(ready, r.linkFree[re.dir]);
@@ -130,15 +183,16 @@ Mesh::step(unsigned tile, Message msg)
     r.linkFree[re.dir] = depart + occupy;
     flitCycles_.inc(flits);
 
-    Tick arrive = depart + occupy + clk_.cyclesToTicks(cfg_.linkCycles);
-    const unsigned next = re.next;
-    eq.schedule(arrive, [this, next, msg] { step(next, msg); });
+    f.tile = re.next;
+    launch(f, depart + occupy + clk_.cyclesToTicks(cfg_.linkCycles),
+           &onStep);
 }
 
 void
-Mesh::expressInject(const Message &msg)
+Mesh::expressInject(Flight &f)
 {
     EventQueue &eq = clk_.eventQueue();
+    const Message &msg = f.msg;
     const unsigned flits = flitsOf(msg.type);
     const Tick rc = clk_.cyclesToTicks(cfg_.routerCycles);
     const Tick lc = clk_.cyclesToTicks(cfg_.linkCycles);
@@ -162,46 +216,45 @@ Mesh::expressInject(const Message &msg)
         tile = re.next;
     }
 
-    flight_.active = true;
+    flight_.rec = &f;
     flight_.accountedHops = 0;
-    flight_.lastStepTick = s;
-    flight_.msg = msg;
     if (TraceSink *ts = obs::trace()) {
         if (ts->enabled(TraceCat::Noc)) {
             ts->instant(TraceCat::Noc, "mesh", "express-collapse",
                         eq.now());
         }
     }
-    const std::uint64_t epoch = ++flight_.epoch;
-    eq.schedule(s, [this, epoch] { expressArrive(epoch); });
+    launch(f, s, &onArrive);
 }
 
 void
-Mesh::expressArrive(std::uint64_t epoch)
+Mesh::expressArrive(Flight &f)
 {
     obs::profClaim("noc");
-    if (!flight_.active || flight_.epoch != epoch)
-        return; // the flight was de-expressed after this event was queued
-    flight_.active = false;
+    if (flight_.rec != &f) {
+        // The flight was de-expressed after this arrival was posted.
+        releaseFlight(f);
+        return;
+    }
+    flight_.rec = nullptr;
     flitCycles_.inc((flight_.hops.size() - flight_.accountedHops) *
-                    flitsOf(flight_.msg.type));
+                    flitsOf(f.msg.type));
     // Stand-in for step() at the destination tile: eject locally. The
     // delivery event's queue position is assigned here — at the tick the
     // final hop-by-hop step would have run — so same-tick ordering
     // against unrelated events is preserved, not just the tick value.
-    EventQueue &eq = clk_.eventQueue();
-    const Message msg = flight_.msg;
-    Tick when = clk_.edgeAtOrAfter(eq.now()) +
-                clk_.cyclesToTicks(cfg_.ejectCycles);
-    eq.schedule(when, [this, msg] { deliver(msg); });
+    launch(f,
+           clk_.edgeAtOrAfter(clk_.eventQueue().now()) +
+               clk_.cyclesToTicks(cfg_.ejectCycles),
+           &onDeliver);
 }
 
 void
 Mesh::deExpress()
 {
-    EventQueue &eq = clk_.eventQueue();
-    const Tick now = eq.now();
+    const Tick now = clk_.eventQueue().now();
     auto &hops = flight_.hops;
+    const Flight &arrival = *flight_.rec;
 
     // Hops whose step tick has passed (or is this very tick) already
     // "ran": their claims stand, exactly as the executed prefix of the
@@ -209,7 +262,7 @@ Mesh::deExpress()
     std::size_t k = 0;
     while (k < hops.size() && hops[k].stepTick <= now)
         ++k;
-    const unsigned flits = flitsOf(flight_.msg.type);
+    const unsigned flits = flitsOf(arrival.msg.type);
     if (k > flight_.accountedHops) {
         flitCycles_.inc((k - flight_.accountedHops) * flits);
         flight_.accountedHops = k;
@@ -226,21 +279,22 @@ Mesh::deExpress()
     // once, so restoring the saved pre-claim values is exact.
     for (std::size_t i = hops.size(); i-- > k;)
         routers_[hops[i].tile].linkFree[hops[i].dir] = hops[i].prevLinkFree;
-    flight_.active = false;
-    ++flight_.epoch; // strand the scheduled arrival event
+    flight_.rec = nullptr; // strand the posted arrival
 
     // Resume the chain with the step() event the original execution
-    // would have had in flight: hop k's, at hop k's tick.
-    const unsigned tile = hops[k].tile;
-    const Tick when = hops[k].stepTick;
-    const Message msg = flight_.msg;
-    eq.schedule(when, [this, tile, msg] { step(tile, msg); });
+    // would have had in flight: hop k's, at hop k's tick. The stranded
+    // arrival record stays queued, so the message moves to a new one.
+    Flight &f = acquireFlight();
+    f.msg = arrival.msg;
+    f.tile = hops[k].tile;
+    launch(f, hops[k].stepTick, &onStep);
 }
 
 void
-Mesh::deliver(const Message &msg)
+Mesh::deliver(Flight &f)
 {
     obs::profClaim("noc");
+    const Message &msg = f.msg;
     const Sink &sink = sinks_[msg.dst.tile][static_cast<unsigned>(msg.dst.port)];
     simAssert(static_cast<bool>(sink), "message to unregistered endpoint");
     if (msg.traceId != 0) {
@@ -256,6 +310,7 @@ Mesh::deliver(const Message &msg)
     delivered_.inc();
     --inFlight_; // before the sink: it may inject onto the now-idle mesh
     sink(msg);
+    releaseFlight(f); // the sink read msg in place
 }
 
 } // namespace duet

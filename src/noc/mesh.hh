@@ -21,6 +21,11 @@
  * the hop it had reached, so queueing delay, flit-cycle totals, ordering
  * and final ticks are identical to the chain it replaced (the event
  * *count* is smaller; the tracked bench reference carries that).
+ *
+ * Flights: an in-flight message lives in a Flight record from the mesh's
+ * own pool, which is posted to the event queue (EventQueue::post) for
+ * each hop, arrival and delivery, so a hop copies no Message and claims
+ * no slab slot. A record returns to the pool once its sink has returned.
  */
 
 #ifndef DUET_NOC_MESH_HH
@@ -28,6 +33,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "noc/message.hh"
@@ -67,7 +73,7 @@ class Mesh
      * Inject @p msg at its source tile. Delivery is asynchronous; the
      * destination sink runs at a later tick.
      */
-    void inject(Message msg);
+    void inject(const Message &msg);
 
     unsigned numTiles() const { return numTiles_; }
     const MeshConfig &config() const { return cfg_; }
@@ -79,6 +85,13 @@ class Mesh
 
     /** Messages injected but not yet delivered (test/debug helper). */
     unsigned inFlight() const { return inFlight_; }
+
+    /** Flight records the pool has carved so far (test helper). */
+    std::size_t
+    flightRecords() const
+    {
+        return flightChunks_.size() * kFlightChunk;
+    }
 
   private:
     /** Output directions from a router. */
@@ -109,6 +122,17 @@ class Mesh
         Tick stepTick;     ///< tick step() would have run at this tile
     };
 
+    /** One in-flight message, posted to the event queue at each of its
+     *  hops. Pointer-stable: the queue holds its address while it is
+     *  pending. */
+    struct Flight : EventQueue::Event
+    {
+        Mesh *mesh = nullptr;
+        Message msg{};
+        unsigned tile = 0;           ///< router the next step() runs at
+        Flight *nextFree = nullptr;  ///< pool free-list link
+    };
+
     unsigned xOf(unsigned tile) const { return tile % cfg_.width; }
     unsigned yOf(unsigned tile) const { return tile / cfg_.width; }
     unsigned tileAt(unsigned x, unsigned y) const
@@ -121,17 +145,31 @@ class Mesh
         return routes_[tile * numTiles_ + dst];
     }
 
-    /** Process @p msg at router @p tile at the current tick. */
-    void step(unsigned tile, Message msg);
+    /** Take a record from the pool (LIFO), carving a chunk if empty. */
+    Flight &acquireFlight();
+    /** Return @p f to the pool. */
+    void releaseFlight(Flight &f);
+    /** Post @p f to run @p fire at @p when. */
+    void launch(Flight &f, Tick when, void (*fire)(EventQueue::Event &));
 
-    /** Deliver @p msg to its registered local sink. */
-    void deliver(const Message &msg);
+    /// @{ The posted flight's fire functions.
+    static void onStep(EventQueue::Event &e);
+    static void onArrive(EventQueue::Event &e);
+    static void onDeliver(EventQueue::Event &e);
+    /// @}
 
-    /** Claim the whole route now and schedule the single arrival. */
-    void expressInject(const Message &msg);
+    /** Process @p f at router @p f.tile at the current tick. */
+    void step(Flight &f);
+
+    /** Deliver @p f's message to its registered local sink, then
+     *  recycle the record. */
+    void deliver(Flight &f);
+
+    /** Claim the whole route now and post the single arrival. */
+    void expressInject(Flight &f);
 
     /** The express flight's stand-in for the final-hop step(). */
-    void expressArrive(std::uint64_t epoch);
+    void expressArrive(Flight &f);
 
     /** Unwind the outstanding express flight's future claims and resume
      *  it hop-by-hop (called before a competing inject proceeds). */
@@ -146,16 +184,24 @@ class Mesh
     std::vector<std::array<Sink, 4>> sinks_;
     unsigned inFlight_ = 0;
 
+    /// Flight pool: chunks never move, so a pending record's address
+    /// stays valid while the pool grows. One chunk holds the peak of
+    /// every 4- and 8-core benchmark row (at most 8 in flight); 16-core
+    /// bfs peaks at 29 and carves a second.
+    static constexpr std::size_t kFlightChunk = 16;
+    std::vector<std::unique_ptr<Flight[]>> flightChunks_;
+    Flight *freeFlights_ = nullptr;
+
     // At most one express flight can exist: express requires an empty
     // mesh, and any later inject either de-expresses it or rides the
     // hop-by-hop path.
     struct ExpressFlight
     {
-        bool active = false;
-        std::uint64_t epoch = 0;   ///< stale-arrival guard
+        /// The outstanding express flight's record, or null. A posted
+        /// arrival whose record is not this one was stranded by
+        /// deExpress() and only recycles itself.
+        Flight *rec = nullptr;
         std::size_t accountedHops = 0; ///< hops whose flits are counted
-        Tick lastStepTick = 0;     ///< step tick at the destination tile
-        Message msg{};
         std::vector<ExpressHop> hops;
     };
     ExpressFlight flight_;

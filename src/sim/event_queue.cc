@@ -12,9 +12,15 @@ namespace duet
 inline void
 EventQueue::dispatch(std::uint64_t ref)
 {
-    if ((ref & 1) == 0) {
+    if ((ref & 3) == 0) {
         std::coroutine_handle<>::from_address(std::bit_cast<void *>(ref))
             .resume();
+        return;
+    }
+    if ((ref & 1) == 0) {
+        Event &e = *std::bit_cast<Event *>(ref & ~std::uint64_t{2});
+        e.pending = false;
+        e.fire(e);
         return;
     }
     // Invoke in place: chunk storage is pointer-stable, so the callback
@@ -81,8 +87,9 @@ EventQueue::dispatchObserved(std::uint64_t ref)
         p->beginEvent();
         // A resumed frame is simulated software waiting out its cycles
         // (ClockDelay): the single biggest event class, attributed to
-        // "cpu" rather than left to fall into "other".
-        if ((ref & 1) == 0)
+        // "cpu" rather than left to fall into "other". A posted event's
+        // fire function claims its own component.
+        if ((ref & 3) == 0)
             p->claim("cpu");
         const auto t0 = std::chrono::steady_clock::now();
         dispatch(ref);

@@ -2,15 +2,23 @@
  * @file
  * The global discrete-event queue driving the simulation.
  *
- * Events are arbitrary callbacks, or coroutines to resume, scheduled at
- * absolute ticks. Events scheduled for the same tick execute in insertion
- * order, which makes every simulation bit-for-bit deterministic.
+ * Events are arbitrary callbacks, coroutines to resume, or intrusive
+ * event records, scheduled at absolute ticks. Events scheduled for the
+ * same tick execute in insertion order, which makes every simulation
+ * bit-for-bit deterministic.
  *
- * Layout: pending events are 24-byte Node records (when, seq, ref). A
- * callback sits in a chunked side slab, recycled through a LIFO
- * free-list, and the node points at its slot; a coroutine waiting out a
- * delay (ClockDelay, an L1 hit's Core::LoadOp) needs no callback, so its
- * node points at the frame itself and dispatch resumes it directly.
+ * Layout: pending events are 24-byte Node records (when, seq, ref), and
+ * the low two bits of @c ref say which of three kinds of node it is:
+ *
+ *  - bit 0 set: a slab callback (schedule()). The callback sits in a
+ *    chunked side slab, recycled through a LIFO free-list, and the node
+ *    points at its slot;
+ *  - bit 1 set: a posted Event (post()), a record its owner keeps alive
+ *    (a Core::SpinOp poll, a mesh flight); dispatch calls its fire
+ *    function straight from the node;
+ *  - both clear: a coroutine frame waiting out a delay (resumeAt():
+ *    ClockDelay, an L1 hit's Core::LoadOp), resumed directly.
+ *
  * Nodes live in two tiers:
  *
  *  - the *front*, a sorted ring of at most kFrontSlots nodes holding the
@@ -100,6 +108,41 @@ class EventQueue
     }
 
     /**
+     * An intrusive event: a record that its owner keeps alive while it
+     * is pending, usually as the base of a larger record holding the
+     * event's state. post() queues it without copying anything, and
+     * dispatch calls @c fire on it straight from the queue node.
+     */
+    struct Event
+    {
+        void (*fire)(Event &) = nullptr;
+        /// Set by post() and cleared just before @c fire runs, so @c fire
+        /// may post the event again. reset() leaves it set on a dropped
+        /// event, whose owner discards the record.
+        bool pending = false;
+    };
+
+    /**
+     * Queue @p e to fire at absolute tick @p when. The node takes the
+     * next (when, seq) key exactly like schedule(), so pop order and
+     * executed() counts match a callback that fires @p e, but no slab
+     * slot is claimed. reset() drops a pending event without touching
+     * it.
+     * @pre when >= now(), @p e is 4-byte aligned and not pending
+     */
+    void
+    post(Tick when, Event &e)
+    {
+        checkNotPast(when);
+        const auto ref = std::bit_cast<std::uint64_t>(&e);
+        DUET_DCHECK((ref & 3) == 0,
+                    "a posted event must be 4-byte aligned");
+        DUET_DCHECK(!e.pending, "event posted while already pending");
+        e.pending = true;
+        commit(when, ref | 2);
+    }
+
+    /**
      * Resume the suspended coroutine @p h at absolute tick @p when. The
      * node takes the next (when, seq) key exactly like schedule(), so
      * pop order and executed() counts match a callback that resumes
@@ -113,8 +156,9 @@ class EventQueue
     {
         checkNotPast(when);
         const auto frame = std::bit_cast<std::uint64_t>(h.address());
-        DUET_DCHECK((frame & 1) == 0,
-                    "coroutine frame at an odd address cannot be queued");
+        DUET_DCHECK((frame & 3) == 0,
+                    "coroutine frame at an unaligned address cannot be "
+                    "queued");
         commit(when, frame);
     }
 
@@ -142,8 +186,8 @@ class EventQueue
     /**
      * Drop every pending event and rewind time to tick zero, keeping the
      * slab chunks and free-list warm (scenario warm-start). Pending
-     * callbacks are destroyed without running; a pending resume is
-     * dropped without touching its frame.
+     * callbacks are destroyed without running; a pending resume or
+     * posted event is dropped without touching its frame or record.
      */
     void
     reset()
@@ -164,9 +208,10 @@ class EventQueue
     /** Pending-event record: the full (when, seq) ordering key plus what
      *  to dispatch. @c ref is a tagged pointer: a slab slot's address
      *  with bit 0 set (a Slot is max_align_t-aligned, so the bit is
-     *  free), or the even address of a coroutine frame to resume. Either
-     *  way dispatch reaches its target with no table lookup. Kept
-     *  POD-small so the front's shifts and the heap's sifts are cheap. */
+     *  free), a posted Event's address with bit 1 set, or the 4-aligned
+     *  address of a coroutine frame to resume. Each way dispatch reaches
+     *  its target with no table lookup. Kept POD-small so the front's
+     *  shifts and the heap's sifts are cheap. */
     struct Node
     {
         Tick when;
@@ -319,7 +364,8 @@ class EventQueue
     }
 
     /** reset()'s per-node teardown of a pending event: a slot's
-     *  callback is destroyed without running; a frame is left alone. */
+     *  callback is destroyed without running; a frame or a posted event
+     *  is left alone. */
     void
     dropPending(const Node &n)
     {
@@ -330,8 +376,8 @@ class EventQueue
         free_.push_back(slot);
     }
 
-    /** Run the event @p ref names: resume its frame, or run its slot's
-     *  callback in place and recycle the slot. */
+    /** Run the event @p ref names: resume its frame, fire its posted
+     *  event, or run its slot's callback in place and recycle the slot. */
     void dispatch(std::uint64_t ref);
 
     /** run()'s slow path when a trace sink or profiler is installed:

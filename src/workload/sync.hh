@@ -40,8 +40,7 @@ class McsLock
         co_await c.store(pred + 0, my_node);  // pred->next = me
         // Spin locally on my qnode's locked flag (cached; release
         // invalidates it), polling once per cycle.
-        while (co_await c.load(my_node + 8) != 0)
-            co_await ClockDelay(c.clock(), 1);
+        co_await c.spinUntil(my_node + 8, false);
     }
 
     CoTask<void>
@@ -55,8 +54,7 @@ class McsLock
             if (old == my_node)
                 co_return; // no successor
             // A successor is enqueueing; wait for its next-pointer store.
-            while ((next = co_await c.load(my_node + 0)) == 0)
-                co_await ClockDelay(c.clock(), 1);
+            next = co_await c.spinUntil(my_node + 0, true);
         }
         co_await c.store(next + 8, 0); // unlock successor
     }
@@ -90,8 +88,7 @@ class SpinBarrier
             co_await c.store(base_ + 8, local_sense ? 1 : 0);
             co_return;
         }
-        while ((co_await c.load(base_ + 8) != 0) != local_sense)
-            co_await ClockDelay(c.clock(), 1);
+        co_await c.spinUntil(base_ + 8, local_sense);
     }
 
   private:

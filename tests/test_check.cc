@@ -154,36 +154,59 @@ TEST(CheckEventQueue, SchedulingInPastTrapsWithBothTicks)
 
 TEST(CheckEventQueueDeathTest, UncaughtPastEventDies)
 {
-    // Under tsan the forked death-test child loses the in-flight
-    // exception state (the verbose terminate handler reports no active
-    // exception), so the message match is unreliable there; the child
-    // still dies, which is the invariant under test.
-#if defined(__SANITIZE_THREAD__)
-    const char *expected = "";
-#else
-    const char *expected = "scheduled in the past";
-#endif
+    // The queue lives outside the noexcept lambda, so the frame that
+    // throws has no local of its own to destroy on the way out. With the
+    // queue as a local, tsan builds (GCC 12) died with "terminate called
+    // without an active exception" and lost the panic text.
+    EventQueue eq;
     EXPECT_DEATH(
-        []() noexcept {
-            EventQueue eq;
+        [&eq]() noexcept {
             eq.schedule(10, [] {});
             eq.run();
             eq.schedule(1, [] {});
         }(),
-        expected);
+        "scheduled in the past");
 }
 
 TEST(CheckEventQueue, OddFrameAddressTrapsUnderParanoid)
 {
-    // A queued resume names its frame by an even address; an odd one
-    // would read back as a slab slot.
+    // A queued resume names its frame by a 4-aligned address; bit 0
+    // would read back as a slab slot, bit 1 as a posted event.
     ParanoidScope scope(true);
     EventQueue eq;
     alignas(8) static char frame[8];
     EXPECT_THROW(
         eq.resumeAt(1, std::coroutine_handle<>::from_address(frame + 1)),
         SimPanic);
+    EXPECT_THROW(
+        eq.resumeAt(1, std::coroutine_handle<>::from_address(frame + 2)),
+        SimPanic);
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(CheckEventQueue, PostingAPendingEventTrapsUnderParanoid)
+{
+    // A posted event is its own queue node: a second post while it is
+    // pending would queue one record twice.
+    ParanoidScope scope(true);
+    EventQueue eq;
+    int fired = 0;
+    struct Counted : EventQueue::Event
+    {
+        int *fired = nullptr;
+    } e;
+    e.fired = &fired;
+    e.fire = [](EventQueue::Event &ev) {
+        ++*static_cast<Counted &>(ev).fired;
+    };
+    eq.post(1, e);
+    EXPECT_THROW(eq.post(2, e), SimPanic);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    eq.post(3, e); // fired, so free to post again
+    eq.run();
+    EXPECT_EQ(fired, 2);
 }
 
 // ---------------------------------------------------------------------

@@ -286,7 +286,7 @@ TEST(Profiler, ClockDelayResumesClaimTheCpuComponent)
 {
     // A ClockDelay resume runs no callback that could claim it: the
     // queue attributes every resumed frame to "cpu" itself, while an
-    // unclaimed callback still falls into "other".
+    // unclaimed callback or posted event still falls into "other".
     EventQueue eq;
     ClockDomain clk(eq, "clk", 1000);
     Profiler prof;
@@ -296,6 +296,9 @@ TEST(Profiler, ClockDelayResumesClaimTheCpuComponent)
             co_await ClockDelay(c, 1);
     }(clk));
     eq.schedule(5, [] {});
+    EventQueue::Event posted;
+    posted.fire = [](EventQueue::Event &) {};
+    eq.post(7, posted);
     eq.run();
     obs::setProfiler(nullptr);
     drainDetachedTasks();
@@ -305,7 +308,7 @@ TEST(Profiler, ClockDelayResumesClaimTheCpuComponent)
     const std::string doc = os.str();
     for (const auto &[name, events] :
          {std::pair<std::string, std::uint64_t>{"cpu", 100},
-          {"other", 1}}) {
+          {"other", 2}}) {
         const std::string key = "{\"name\":\"" + name + "\",\"events\":";
         const std::size_t at = doc.find(key);
         ASSERT_NE(at, std::string::npos) << doc;

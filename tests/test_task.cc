@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <set>
 #include <tuple>
 #include <type_traits>
@@ -206,8 +207,9 @@ TEST(ClockDelay, ResetDropsPendingResumesOfDrainedFrames)
 {
     // A run stopped mid-loop leaves one resume node per looping frame
     // queued. The frames are reclaimed first; reset() must then drop
-    // their nodes without resuming (or touching) the dead frames, and
-    // reclaim a pending callback's slot without running it.
+    // their nodes without resuming (or touching) the dead frames, drop a
+    // posted event whose record is gone without firing (or touching)
+    // it, and reclaim a pending callback's slot without running it.
     EventQueue eq;
     ClockDomain clk(eq, "clk", 1000);
     std::uint64_t iterations = 0;
@@ -220,12 +222,24 @@ TEST(ClockDelay, ResetDropsPendingResumesOfDrainedFrames)
         }(clk, iterations));
     bool ran = false;
     eq.schedule(10'000'000, [&ran] { ran = true; });
+    struct Flag : EventQueue::Event
+    {
+        bool *fired = nullptr;
+    };
+    bool fired = false;
+    auto posted = std::make_unique<Flag>();
+    posted->fired = &fired;
+    posted->fire = [](EventQueue::Event &e) {
+        *static_cast<Flag &>(e).fired = true;
+    };
+    eq.post(20'000'000, *posted);
     EXPECT_FALSE(eq.run(50'000)); // 50 cycles into 1000-iteration loops
     const std::uint64_t before = iterations;
     EXPECT_GT(before, 0u);
-    EXPECT_EQ(eq.pending(), 9u);
+    EXPECT_EQ(eq.pending(), 10u);
 
     drainDetachedTasks();
+    posted.reset();
     eq.reset();
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.now(), 0u);
@@ -234,6 +248,7 @@ TEST(ClockDelay, ResetDropsPendingResumesOfDrainedFrames)
     EXPECT_EQ(eq.executed(), 0u);
     EXPECT_EQ(iterations, before);
     EXPECT_FALSE(ran);
+    EXPECT_FALSE(fired);
 }
 
 // ---------------------------------------------------------------------
@@ -413,19 +428,32 @@ TEST(EventQueueResume, MixedOneShotAndResumedPopOrderMatchesReference)
 {
     // The production queue runs self-scheduling one-shot chains (as in
     // the event-queue identity test) interleaved with 64 coroutines
-    // parked on resumeAt on deterministic periods. A resume must consume
-    // a sequence number exactly like a fresh schedule() would, so the
-    // combined pop order — ties included — must match a naive reference
-    // that models every firing as an ordinary insert.
+    // parked on resumeAt and 64 records re-posting themselves, each on
+    // deterministic periods. A resume or a post must consume a sequence
+    // number exactly like a fresh schedule() would, so the combined pop
+    // order — ties included — must match a naive reference that models
+    // every firing as an ordinary insert.
     constexpr std::uint32_t kTotalOneShot = 700'000;
     constexpr std::uint32_t kSeedEvents = 2048;
     constexpr std::uint32_t kRec = 64;
     constexpr std::uint32_t kFirings = 4000; // per recurring coroutine
     constexpr std::uint64_t kSeed = 0xabba5eed20260001ull;
     constexpr std::uint64_t kRecBase = 1ull << 32; // recurring id space
+    constexpr std::uint64_t kPostBase = 1ull << 33; // posted id space
+
+    /** A record that re-posts itself kFirings times. */
+    struct Recurring : EventQueue::Event
+    {
+        EventQueue *q = nullptr;
+        std::vector<std::uint64_t> *out = nullptr;
+        std::uint32_t *done = nullptr;
+        std::uint64_t id = 0;
+        Tick period = 0;
+        std::uint32_t left = kFirings;
+    };
 
     std::vector<std::uint64_t> got;
-    got.reserve(kTotalOneShot + kRec * kFirings);
+    got.reserve(kTotalOneShot + 2 * kRec * kFirings);
     {
         EventQueue eq;
         std::uint32_t finished = 0;
@@ -448,6 +476,26 @@ TEST(EventQueueResume, MixedOneShotAndResumedPopOrderMatchesReference)
               1 + static_cast<Tick>((r >> 16) % 97),
               1 + static_cast<Tick>(r % 13)));
         }
+        std::vector<Recurring> posted(kRec);
+        std::uint32_t postedDone = 0;
+        for (std::uint32_t i = 0; i < kRec; ++i) {
+            std::uint64_t r = splitmix64(rng);
+            Recurring &p = posted[i];
+            p.q = &eq;
+            p.out = &got;
+            p.done = &postedDone;
+            p.id = kPostBase + i;
+            p.period = 1 + static_cast<Tick>(r % 11);
+            p.fire = [](EventQueue::Event &e) {
+                auto &rec = static_cast<Recurring &>(e);
+                rec.out->push_back(rec.id);
+                if (--rec.left > 0)
+                    rec.q->post(rec.q->now() + rec.period, rec);
+                else
+                    ++*rec.done;
+            };
+            eq.post(1 + static_cast<Tick>((r >> 16) % 89), p);
+        }
         std::function<void(std::uint32_t)> body = [&](std::uint32_t id) {
             got.push_back(id);
             Successor s = successorsOf(id, kSeed);
@@ -465,6 +513,7 @@ TEST(EventQueueResume, MixedOneShotAndResumedPopOrderMatchesReference)
         }
         eq.run();
         EXPECT_EQ(finished, kRec);
+        EXPECT_EQ(postedDone, kRec);
         EXPECT_EQ(eq.executed(), got.size());
         // Every one-shot slot is back on the free list once the run
         // drains.
@@ -482,14 +531,19 @@ TEST(EventQueueResume, MixedOneShotAndResumedPopOrderMatchesReference)
         auto schedule = [&](Tick when, std::uint64_t id) {
             pending.insert({when, seq++, id});
         };
-        std::vector<Tick> period(kRec);
-        std::vector<std::uint32_t> remaining(kRec, kFirings);
+        std::vector<Tick> period(2 * kRec);
+        std::vector<std::uint32_t> remaining(2 * kRec, kFirings);
         std::uint32_t scheduled = 0;
         std::uint64_t rng = kSeed;
         for (std::uint32_t i = 0; i < kRec; ++i) {
             std::uint64_t r = splitmix64(rng);
             period[i] = 1 + static_cast<Tick>(r % 13);
             schedule(1 + static_cast<Tick>((r >> 16) % 97), kRecBase + i);
+        }
+        for (std::uint32_t i = 0; i < kRec; ++i) {
+            std::uint64_t r = splitmix64(rng);
+            period[kRec + i] = 1 + static_cast<Tick>(r % 11);
+            schedule(1 + static_cast<Tick>((r >> 16) % 89), kPostBase + i);
         }
         for (std::uint32_t i = 0; i < kSeedEvents; ++i) {
             std::uint32_t id = scheduled++;
@@ -502,7 +556,9 @@ TEST(EventQueueResume, MixedOneShotAndResumedPopOrderMatchesReference)
             now = when;
             want.push_back(id);
             if (id >= kRecBase) {
-                auto i = static_cast<std::uint32_t>(id - kRecBase);
+                auto i = static_cast<std::uint32_t>(
+                    id >= kPostBase ? kRec + (id - kPostBase)
+                                    : id - kRecBase);
                 if (--remaining[i] > 0)
                     schedule(now + period[i], id);
             } else {
@@ -518,7 +574,7 @@ TEST(EventQueueResume, MixedOneShotAndResumedPopOrderMatchesReference)
     }
 
     ASSERT_EQ(got.size(), want.size());
-    ASSERT_GE(got.size(), kRec * static_cast<std::size_t>(kFirings));
+    ASSERT_GE(got.size(), 2 * kRec * static_cast<std::size_t>(kFirings));
     for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(got[i], want[i]) << "pop order diverges at event " << i;
 }
