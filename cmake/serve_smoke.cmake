@@ -1,7 +1,8 @@
-# Serve smoke test: pipe a canned 12-request JSONL batch — 8 valid
-# scenarios, one unknown workload, two shapes the hardware cannot be
-# built with (3 L2 ways: a non-power-of-two set count; a 5 THz clock: a
-# zero period) and one deterministic failure (a 1 us simulated-time
+# Serve smoke test: pipe a canned 13-request JSONL batch — 9 valid
+# scenarios (one of them with the id "type", which must not be taken for
+# a control line), one unknown workload, two shapes the hardware cannot
+# be built with (3 L2 ways: a non-power-of-two set count; a 5 THz clock:
+# a zero period) and one deterministic failure (a 1 us simulated-time
 # watchdog) — through `duet_sim --serve --jobs 4` and assert the
 # protocol contract: one response line per request, the right
 # ok/invalid/failed split, the `N served / M failed` summary on stderr,
@@ -26,6 +27,8 @@ foreach(i RANGE 1 4)
   string(APPEND lines
          "{\"id\": \"t${i}\", \"workload\": \"tangent\", \"size\": ${sz}}\n")
 endforeach()
+string(APPEND lines
+       "{\"id\": \"type\", \"workload\": \"tangent\", \"size\": 4}\n")
 string(APPEND lines "{\"id\": \"bad\", \"workload\": \"no-such-workload\"}\n")
 string(APPEND lines
        "{\"id\": \"ways\", \"workload\": \"tangent\", \"l2_ways\": 3}\n")
@@ -46,14 +49,14 @@ if(NOT rv EQUAL 1)
           "--serve with failing requests should exit 1, got '${rv}' "
           "(stderr: ${summary})")
 endif()
-if(NOT summary MATCHES "8 served / 4 failed")
+if(NOT summary MATCHES "9 served / 4 failed")
   message(FATAL_ERROR "unexpected serve summary: ${summary}")
 endif()
 
 file(STRINGS ${RESP} resp_lines)
 list(LENGTH resp_lines total)
-if(NOT total EQUAL 12)
-  message(FATAL_ERROR "expected 12 response lines in ${RESP}, got ${total}")
+if(NOT total EQUAL 13)
+  message(FATAL_ERROR "expected 13 response lines in ${RESP}, got ${total}")
 endif()
 
 set(ok 0)
@@ -68,18 +71,23 @@ foreach(line IN LISTS resp_lines)
     math(EXPR failed "${failed} + 1")
   endif()
 endforeach()
-if(NOT ok EQUAL 8 OR NOT invalid EQUAL 3 OR NOT failed EQUAL 1)
+if(NOT ok EQUAL 9 OR NOT invalid EQUAL 3 OR NOT failed EQUAL 1)
   message(FATAL_ERROR
-          "expected 8 ok / 3 invalid / 1 failed responses, got "
+          "expected 9 ok / 3 invalid / 1 failed responses, got "
           "${ok} / ${invalid} / ${failed}")
 endif()
 
-# The failure responses answer the requests that caused them.
+# The failure responses answer the requests that caused them, and the
+# "type"-id request is served under its own id.
+set(saw_type FALSE)
 set(saw_bad FALSE)
 set(saw_ways FALSE)
 set(saw_clock FALSE)
 set(saw_watchdog FALSE)
 foreach(line IN LISTS resp_lines)
+  if(line MATCHES "\"id\": \"type\", \"status\": \"ok\"")
+    set(saw_type TRUE)
+  endif()
   if(line MATCHES "\"id\": \"bad\", \"status\": \"invalid\"")
     set(saw_bad TRUE)
   endif()
@@ -96,8 +104,11 @@ endforeach()
 if(NOT saw_bad OR NOT saw_ways OR NOT saw_clock OR NOT saw_watchdog)
   message(FATAL_ERROR "failure responses lost their request ids")
 endif()
+if(NOT saw_type)
+  message(FATAL_ERROR "the request with id \"type\" was not served")
+endif()
 
-message(STATUS "serve smoke OK: 12 requests, 8 ok / 3 invalid / 1 failed")
+message(STATUS "serve smoke OK: 13 requests, 9 ok / 3 invalid / 1 failed")
 
 # The single-run CLI validates through the same path: an L3 whose set
 # count (3 KiB / 16 B line / 4 ways = 48) is not a power of two is bad

@@ -110,109 +110,53 @@ parseScenarioRequest(const std::string &json_line, ScenarioRequest &req,
                      std::string &err)
 {
     req = ScenarioRequest{};
-    json::Cursor c{json_line, 0, err};
-    if (!c.expect('{'))
-        return false;
-
     bool sawWorkload = false;
-    c.skipWs();
-    if (c.peek('}')) {
-        ++c.i;
-    } else {
-        while (true) {
-            std::string key;
-            if (!c.parseString(key))
+    auto visit = [&](json::Member &m) {
+        const std::string &k = m.key();
+        if (k == "id") {
+            // Clients may tag with a string or a bare number; the id is
+            // opaque either way and echoed back verbatim.
+            if (!m.strOrToken(req.id))
                 return false;
-            if (!c.expect(':'))
-                return false;
-            const bool isString = c.peek('"');
-            std::string sval, tok;
-            if (isString) {
-                if (!c.parseString(sval))
-                    return false;
-            } else if (!c.parseScalarToken(tok)) {
-                return false;
-            }
-            auto want_string = [&](const char *k) {
-                if (!isString)
-                    err = std::string("key '") + k +
-                          "' wants a string value";
-                return isString;
-            };
-            auto want_scalar = [&](const char *k) {
-                if (isString)
-                    err = std::string("key '") + k +
-                          "' wants an unquoted value";
-                return !isString;
-            };
-            bool ok = true;
-            if (key == "id") {
-                // Clients may tag with a string or a bare number; the
-                // id is opaque either way and echoed back verbatim.
-                req.id = isString ? sval : tok;
-                if (req.id.empty()) {
-                    err = "empty request id";
-                    ok = false;
-                }
-            } else if (key == "workload") {
-                ok = want_string("workload");
-                req.workload = sval;
-                sawWorkload = true;
-            } else if (key == "mode") {
-                ok = want_string("mode");
-                req.mode = sval;
-            } else if (key == "cores") {
-                ok = want_scalar("cores") &&
-                     json::tokenToU32(tok, req.cores, err);
-            } else if (key == "size") {
-                ok = want_scalar("size") &&
-                     json::tokenToU32(tok, req.size, err);
-            } else if (key == "seed") {
-                ok = want_scalar("seed") &&
-                     json::tokenToU64(tok, req.seed, err);
-            } else if (key == "l2_kib") {
-                ok = want_scalar("l2_kib") &&
-                     json::tokenToU32(tok, req.l2KiB, err);
-            } else if (key == "l3_kib") {
-                ok = want_scalar("l3_kib") &&
-                     json::tokenToU32(tok, req.l3KiB, err);
-            } else if (key == "l2_ways") {
-                ok = want_scalar("l2_ways") &&
-                     json::tokenToU32(tok, req.l2Ways, err);
-            } else if (key == "l3_ways") {
-                ok = want_scalar("l3_ways") &&
-                     json::tokenToU32(tok, req.l3Ways, err);
-            } else if (key == "spm_kib") {
-                ok = want_scalar("spm_kib") &&
-                     json::tokenToU32(tok, req.spmKiB, err);
-            } else if (key == "cpu_mhz") {
-                ok = want_scalar("cpu_mhz") &&
-                     json::tokenToU64(tok, req.cpuFreqMhz, err);
-            } else if (key == "fpga_mhz") {
-                ok = want_scalar("fpga_mhz") &&
-                     json::tokenToU64(tok, req.fpgaFreqMhz, err);
-            } else if (key == "max_us") {
-                ok = want_scalar("max_us") &&
-                     json::tokenToU64(tok, req.maxTicksUs, err);
-            } else {
-                // A typo'd key silently ignored would run a different
-                // scenario than the client asked for.
-                err = "unknown request key '" + key + "'";
-                return false;
-            }
-            if (!ok)
-                return false;
-            c.skipWs();
-            if (c.i < json_line.size() && json_line[c.i] == ',') {
-                ++c.i;
-                continue;
-            }
-            if (!c.expect('}'))
-                return false;
-            break;
+            if (!req.id.empty())
+                return true;
+            err = "empty request id";
+            return false;
         }
-    }
-    if (!c.atLineEnd())
+        if (k == "workload") {
+            sawWorkload = true;
+            return m.str(req.workload);
+        }
+        if (k == "mode")
+            return m.str(req.mode);
+        if (k == "cores")
+            return m.u32(req.cores);
+        if (k == "size")
+            return m.u32(req.size);
+        if (k == "seed")
+            return m.u64(req.seed);
+        if (k == "l2_kib")
+            return m.u32(req.l2KiB);
+        if (k == "l3_kib")
+            return m.u32(req.l3KiB);
+        if (k == "l2_ways")
+            return m.u32(req.l2Ways);
+        if (k == "l3_ways")
+            return m.u32(req.l3Ways);
+        if (k == "spm_kib")
+            return m.u32(req.spmKiB);
+        if (k == "cpu_mhz")
+            return m.u64(req.cpuFreqMhz);
+        if (k == "fpga_mhz")
+            return m.u64(req.fpgaFreqMhz);
+        if (k == "max_us")
+            return m.u64(req.maxTicksUs);
+        // A typo'd key silently ignored would run a different scenario
+        // than the client asked for.
+        err = "unknown request key '" + k + "'";
+        return false;
+    };
+    if (!json::readObject(json_line, err, visit))
         return false;
     if (!sawWorkload) {
         err = "request is missing the 'workload' key";
@@ -270,54 +214,28 @@ parseScenarioResponse(const std::string &json_line, ScenarioResponse &resp,
     resp = ScenarioResponse{};
     // First pass: pull the service envelope (id, status) out of the
     // object; everything else is row fields.
-    json::Cursor c{json_line, 0, err};
-    if (!c.expect('{'))
-        return false;
     bool sawId = false, sawStatus = false;
-    c.skipWs();
-    if (c.peek('}')) {
-        ++c.i;
-    } else {
-        while (true) {
-            std::string key;
-            if (!c.parseString(key))
-                return false;
-            if (!c.expect(':'))
-                return false;
-            if (key == "id" || key == "status") {
-                std::string sval;
-                if (!c.parseString(sval))
-                    return false;
-                if (key == "id") {
-                    resp.id = sval;
-                    sawId = true;
-                } else if (sval == "ok") {
-                    resp.status = ResponseStatus::Ok;
-                    sawStatus = true;
-                } else if (sval == "failed") {
-                    resp.status = ResponseStatus::Failed;
-                    sawStatus = true;
-                } else if (sval == "invalid") {
-                    resp.status = ResponseStatus::Invalid;
-                    sawStatus = true;
-                } else {
-                    err = "unknown response status '" + sval + "'";
-                    return false;
-                }
-            } else if (!c.skipValue()) {
-                return false;
-            }
-            c.skipWs();
-            if (c.i < json_line.size() && json_line[c.i] == ',') {
-                ++c.i;
-                continue;
-            }
-            if (!c.expect('}'))
-                return false;
-            break;
+    auto visit = [&](json::Member &m) {
+        if (m.key() == "id") {
+            sawId = true;
+            return m.str(resp.id);
         }
-    }
-    if (!c.atLineEnd())
+        if (m.key() != "status")
+            return true;
+        std::string status;
+        if (!m.str(status))
+            return false;
+        sawStatus = true;
+        for (ResponseStatus s : {ResponseStatus::Ok, ResponseStatus::Failed,
+                                 ResponseStatus::Invalid})
+            if (status == responseStatusName(s)) {
+                resp.status = s;
+                return true;
+            }
+        err = "unknown response status '" + status + "'";
+        return false;
+    };
+    if (!json::readObject(json_line, err, visit))
         return false;
     if (!sawId || !sawStatus) {
         err = "response is missing the 'id'/'status' envelope";

@@ -22,8 +22,9 @@
  *  - `duet_sim --serve` reads JSONL requests off a stream and streams
  *    JSONL responses back (service/serve.hh).
  *
- * Wire format: one JSON object per line, built on the same
- * jsonQuote()/json::Cursor machinery as the SweepRow rows, and response
+ * Wire format: one JSON object per line, written with jsonQuote() and
+ * read by the same json::readObject() walker as the SweepRow rows (a
+ * request or response parser is a key-to-field visitor), and response
  * objects embed the row fields verbatim (writeJsonRowFields), so a
  * response line parses as a SweepRow with parseSweepRow() — id-sorted
  * `--serve` responses are byte-identical to the equivalent `--sweep`

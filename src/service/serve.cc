@@ -17,6 +17,7 @@
 
 #include "sim/check.hh"
 #include "sim/config.hh"
+#include "sim/json.hh"
 
 namespace duet
 {
@@ -97,6 +98,23 @@ writeServeStats(std::ostream &os, const ScenarioService &svc)
     os << "]}\n";
 }
 
+/** True when @p line is a control request: one JSON object with a
+ *  top-level "type" key, whose value (string or bare token) lands in
+ *  @p type. */
+bool
+controlType(const std::string &line, std::string &type)
+{
+    bool control = false;
+    auto visit = [&](json::Member &m) {
+        if (m.key() != "type")
+            return true;
+        control = true;
+        return m.strOrToken(type);
+    };
+    std::string err;
+    return json::readObject(line, err, visit) && control;
+}
+
 } // namespace
 
 ServeSummary
@@ -128,7 +146,8 @@ serveStream(int in_fd, int out_fd, const SystemConfig &base,
     if (in_flags >= 0)
         ::fcntl(in_fd, F_SETFL, in_flags | O_NONBLOCK);
 
-    std::string inbuf;
+    std::string inbuf;     // the partial line read so far
+    bool overlong = false; // past the cap: drop input through its newline
     std::size_t lineno = 0;
     bool eof = false;
 
@@ -136,12 +155,13 @@ serveStream(int in_fd, int out_fd, const SystemConfig &base,
         ++lineno;
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             return; // blank keep-alive line
-        // Control requests carry a "type" key (scenario requests never
-        // do — parseScenarioRequest rejects it as unknown) and are
-        // answered by the parent synchronously, ahead of any queued
-        // scenario work.
-        if (line.find("\"type\"") != std::string::npos) {
-            if (line.find("\"stats\"") == std::string::npos) {
+        // A control request is an object with a top-level "type" key
+        // (scenario requests never have one: parseScenarioRequest
+        // rejects it as unknown), answered by the parent synchronously,
+        // ahead of any queued scenario work.
+        std::string type;
+        if (controlType(line, type)) {
+            if (type != "stats") {
                 svc.reject(std::to_string(lineno),
                            "unknown control request (only "
                            "{\"type\": \"stats\"} is supported)");
@@ -168,6 +188,36 @@ serveStream(int in_fd, int out_fd, const SystemConfig &base,
         svc.submit(req); // blocks (delivering responses) at the cap
     };
 
+    // Split the input into lines. Each byte is scanned once, and a line
+    // that crosses the cap is answered then and dropped through its
+    // newline, so inbuf never outgrows the cap.
+    auto intake = [&](const char *p, const char *end) {
+        while (p < end) {
+            const char *nl = static_cast<const char *>(
+                std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+            const std::size_t len =
+                static_cast<std::size_t>((nl != nullptr ? nl : end) - p);
+            if (!overlong && inbuf.size() + len > kMaxRequestLineBytes) {
+                ++lineno;
+                svc.reject(std::to_string(lineno),
+                           "request line longer than " +
+                               std::to_string(kMaxRequestLineBytes) +
+                               " bytes");
+                inbuf.clear();
+                overlong = true;
+            } else if (!overlong) {
+                inbuf.append(p, len);
+            }
+            if (nl == nullptr)
+                return;
+            if (!overlong)
+                feedLine(inbuf);
+            inbuf.clear();
+            overlong = false;
+            p = nl + 1;
+        }
+    };
+
     while (!eof && g_stop == 0) {
         std::vector<pollfd> fds;
         fds.push_back({in_fd, POLLIN, 0});
@@ -190,12 +240,7 @@ serveStream(int in_fd, int out_fd, const SystemConfig &base,
         while (true) {
             const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
             if (n > 0) {
-                inbuf.append(chunk, static_cast<std::size_t>(n));
-                std::size_t nl;
-                while ((nl = inbuf.find('\n')) != std::string::npos) {
-                    feedLine(inbuf.substr(0, nl));
-                    inbuf.erase(0, nl + 1);
-                }
+                intake(chunk, chunk + n);
                 continue;
             }
             if (n == 0) {

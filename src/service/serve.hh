@@ -6,12 +6,14 @@
  * domain socket with `--listen <path>`), schedules each on the
  * scenario service's process pool, and streams one JSONL
  * ScenarioResponse per request back as rows complete — tagged with the
- * request id, so ordering is the client's business. A malformed line
- * or out-of-bounds request gets an `"status": "invalid"` response; a
- * crashing or hanging scenario gets a `"failed"` one; the server keeps
- * serving either way. EOF (or SIGTERM/SIGINT) stops intake, drains the
- * in-flight work, prints an `N served / M failed` summary on stderr
- * and exits.
+ * request id, so ordering is the client's business. A line that is
+ * one JSON object with a top-level `"type"` key is a control request,
+ * answered by the server itself (`{"type": "stats"}`). A malformed or
+ * over-long line or an out-of-bounds request gets an
+ * `"status": "invalid"` response; a crashing or hanging scenario gets a
+ * `"failed"` one; the server keeps serving either way. EOF (or
+ * SIGTERM/SIGINT) stops intake, drains the in-flight work, prints an
+ * `N served / M failed` summary on stderr and exits.
  */
 
 #ifndef DUET_SERVICE_SERVE_HH
@@ -35,13 +37,20 @@ struct ServeSummary
     bool ioError = false;   ///< the response stream broke mid-write
 };
 
+/** Longest request line served, newline excluded. Requests are under
+ *  1 KiB; the cap keeps a stream without newlines from growing the
+ *  intake buffer without bound. */
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /**
  * The protocol core, exposed for tests: serve JSONL requests from
  * @p in_fd, streaming JSONL responses to @p out_fd, until EOF or a
  * shutdown signal. Blank lines are skipped; a line that does not parse
  * as a request is answered with an Invalid response whose id is the
- * 1-based input line number. Requests without an id get the line
- * number too.
+ * 1-based input line number. A line past kMaxRequestLineBytes is
+ * answered that way as soon as it crosses the cap, and the rest of it
+ * is discarded through its newline. Requests without an id get the
+ * line number too.
  */
 ServeSummary serveStream(int in_fd, int out_fd, const SystemConfig &base,
                          const ScenarioService::Options &opts);

@@ -6,15 +6,15 @@
  * event-queue events, cache completion callbacks, NoC sinks. With
  * std::function, every capture larger than the library's tiny SSO buffer
  * (16 bytes on libstdc++) round-trips through malloc — one allocation and
- * one free per simulated event. InlineFunction stores captures up to a
- * caller-chosen byte budget inline (no allocation, trivially relocated by
- * the owner's container) and falls back to the heap only for oversized or
- * throwing-move captures, so the common simulator capture shapes
- * ([this, msg], [this, req, arrival], [op, value]) never allocate. A
- * capture that is trivially copyable and trivially destructible (only
- * pointers and integers, like the CacheReq completions) installs no
- * manager at all: moving it is a fixed-size buffer copy and dropping it
- * clears the invoke pointer, with no indirect call on either path.
+ * one free per simulated event. InlineFunction stores every capture
+ * inline, within a caller-chosen byte budget (no allocation, trivially
+ * relocated by the owner's container): a capture past the budget in
+ * size or alignment, or one whose move can throw, does not compile, so
+ * a callback slot never allocates. A capture that is trivially copyable
+ * and trivially destructible (only pointers and integers, like the
+ * CacheReq completions) installs no manager at all: moving it is a
+ * fixed-size buffer copy and dropping it clears the invoke pointer, with
+ * no indirect call on either path.
  *
  * Differences from std::function, on purpose:
  *  - move-only (copying a capture would be a hidden cost; none of the
@@ -48,9 +48,9 @@ class InlineFunction;
 
 /**
  * @tparam R/Args  the call signature, std::function style
- * @tparam Bytes   inline capture budget; callables that fit (size and
- *                 alignment) and are nothrow-move-constructible live in
- *                 the inline buffer, everything else on the heap
+ * @tparam Bytes   inline capture budget; only callables that fit (size
+ *                 and alignment) and are nothrow-move-constructible
+ *                 compile
  */
 template <typename R, typename... Args, std::size_t Bytes>
 class InlineFunction<R(Args...), Bytes>
@@ -66,21 +66,22 @@ class InlineFunction<R(Args...), Bytes>
     using InvokeFn = R (*)(void *, Args...);
     using ManageFn = void (*)(Op, void *src, void *dst) noexcept;
 
-    template <typename F>
-    static constexpr bool fitsInline =
-        sizeof(F) <= Bytes && alignof(F) <= alignof(std::max_align_t) &&
-        std::is_nothrow_move_constructible_v<F>;
-
-    /// An inline capture whose bytes are its value: it relocates by
-    /// copying the buffer and needs no teardown, so it gets no manager.
+    /// A capture whose bytes are its value: it relocates by copying the
+    /// buffer and needs no teardown, so it gets no manager.
     template <typename F>
     static constexpr bool bitwiseInline =
-        fitsInline<F> && std::is_trivially_copyable_v<F> &&
+        std::is_trivially_copyable_v<F> &&
         std::is_trivially_destructible_v<F>;
 
   public:
     /// The inline capture budget, for tests probing the boundary.
     static constexpr std::size_t kInlineBytes = Bytes;
+
+    /// Whether a callable of type F can be held: emplace() asserts it.
+    template <typename F>
+    static constexpr bool fitsInline =
+        sizeof(F) <= Bytes && alignof(F) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<F>;
 
     InlineFunction() = default;
     InlineFunction(std::nullptr_t) {} // NOLINT(google-explicit-constructor)
@@ -124,15 +125,10 @@ class InlineFunction<R(Args...), Bytes>
             manage_ = nullptr;
         }
         invoke_ = nullptr;
-        heap_ = false;
     }
 
     explicit operator bool() const noexcept { return invoke_ != nullptr; }
     bool operator==(std::nullptr_t) const noexcept { return !invoke_; }
-
-    /** True when the held callable lives in the inline buffer (test
-     *  hook for the inline-vs-heap boundary). Empty counts as inline. */
-    bool storedInline() const noexcept { return !heap_; }
 
     R
     operator()(Args... args) const
@@ -151,43 +147,25 @@ class InlineFunction<R(Args...), Bytes>
     {
         reset();
         using Fn = std::remove_cvref_t<F>;
-        if constexpr (fitsInline<Fn>) {
-            // A bitwise capture moves by copying the whole buffer, so
-            // the bytes past (and inside) it get a value first.
-            if constexpr (bitwiseInline<Fn>)
-                std::memset(&buf_, 0, Bytes);
-            ::new (static_cast<void *>(&buf_)) Fn(std::forward<F>(f));
-            invoke_ = [](void *p, Args... args) -> R {
-                return (*static_cast<Fn *>(p))(std::forward<Args>(args)...);
-            };
-            if constexpr (!bitwiseInline<Fn>) {
-                manage_ = +[](Op op, void *src, void *dst) noexcept {
-                    Fn *from = static_cast<Fn *>(src);
-                    if (op == Op::MoveTo)
-                        ::new (dst) Fn(std::move(*from));
-                    from->~Fn();
-                };
-            }
-            heap_ = false;
-        } else {
-            // Oversized (or throwing-move) capture: one owning pointer in
-            // the buffer, callable on the heap. make_unique keeps the
-            // allocation exception-safe; the manager deletes through the
-            // same type.
-            auto owned = std::make_unique<Fn>(std::forward<F>(f));
-            ::new (static_cast<void *>(&buf_))(Fn *)(owned.release());
-            invoke_ = [](void *p, Args... args) -> R {
-                return (**static_cast<Fn **>(p))(
-                    std::forward<Args>(args)...);
-            };
+        static_assert(fitsInline<Fn>,
+                      "capture exceeds the InlineFunction budget: at most "
+                      "Bytes in size, max_align_t in alignment, and a "
+                      "nothrow move");
+        // A bitwise capture moves by copying the whole buffer, so the
+        // bytes past (and inside) it get a value first.
+        if constexpr (bitwiseInline<Fn>)
+            std::memset(&buf_, 0, Bytes);
+        ::new (static_cast<void *>(&buf_)) Fn(std::forward<F>(f));
+        invoke_ = [](void *p, Args... args) -> R {
+            return (*static_cast<Fn *>(p))(std::forward<Args>(args)...);
+        };
+        if constexpr (!bitwiseInline<Fn>) {
             manage_ = +[](Op op, void *src, void *dst) noexcept {
-                Fn **slot = static_cast<Fn **>(src);
+                Fn *from = static_cast<Fn *>(src);
                 if (op == Op::MoveTo)
-                    ::new (dst)(Fn *)(*slot);
-                else
-                    std::default_delete<Fn>{}(*slot);
+                    ::new (dst) Fn(std::move(*from));
+                from->~Fn();
             };
-            heap_ = true;
         }
     }
 
@@ -207,10 +185,8 @@ class InlineFunction<R(Args...), Bytes>
         }
         invoke_ = other.invoke_;
         manage_ = other.manage_;
-        heap_ = other.heap_;
         other.invoke_ = nullptr;
         other.manage_ = nullptr;
-        other.heap_ = false;
     }
 
     /// buf_ is mutable, so a const *this still yields a non-const
@@ -220,7 +196,6 @@ class InlineFunction<R(Args...), Bytes>
     alignas(std::max_align_t) mutable unsigned char buf_[Bytes];
     InvokeFn invoke_ = nullptr;
     ManageFn manage_ = nullptr;
-    bool heap_ = false;
 };
 
 /**
@@ -232,8 +207,7 @@ class InlineFunction<R(Args...), Bytes>
  * sits in the same function as its invocation. The slot itself is
  * pinned — no move or copy support — which is exactly the slab contract.
  *
- * @tparam Bytes inline capture budget, as in InlineFunction; oversized
- *               captures spill to the heap behind one owned pointer.
+ * @tparam Bytes inline capture budget, as in InlineFunction.
  */
 template <std::size_t Bytes = 48>
 class OneShotFunction
@@ -246,14 +220,15 @@ class OneShotFunction
 
     using Fn = void (*)(Act, void *);
 
+  public:
+    /// The inline capture budget, for tests probing the boundary.
+    static constexpr std::size_t kInlineBytes = Bytes;
+
+    /// Whether a callable of type F can be held: emplace() asserts it.
     template <typename F>
     static constexpr bool fitsInline =
         sizeof(F) <= Bytes && alignof(F) <= alignof(std::max_align_t) &&
         std::is_nothrow_move_constructible_v<F>;
-
-  public:
-    /// The inline capture budget, for tests probing the boundary.
-    static constexpr std::size_t kInlineBytes = Bytes;
 
     OneShotFunction() = default;
     OneShotFunction(const OneShotFunction &) = delete;
@@ -261,10 +236,6 @@ class OneShotFunction
     ~OneShotFunction() { reset(); }
 
     bool empty() const noexcept { return fn_ == nullptr; }
-
-    /** True when the held callable lives in the inline buffer (test
-     *  hook for the inline-vs-heap boundary). Empty counts as inline. */
-    bool storedInline() const noexcept { return !heap_; }
 
     /** Construct @p f directly in this slot. @pre empty() */
     template <typename F,
@@ -276,26 +247,17 @@ class OneShotFunction
     {
         DUET_DCHECK(fn_ == nullptr, "emplace into an occupied one-shot slot");
         using Fn_t = std::remove_cvref_t<F>;
-        if constexpr (fitsInline<Fn_t>) {
-            ::new (static_cast<void *>(&buf_)) Fn_t(std::forward<F>(f));
-            fn_ = [](Act act, void *p) {
-                Fn_t *obj = static_cast<Fn_t *>(p);
-                if (act == Act::RunDestroy)
-                    (*obj)();
-                obj->~Fn_t();
-            };
-            heap_ = false;
-        } else {
-            auto owned = std::make_unique<Fn_t>(std::forward<F>(f));
-            ::new (static_cast<void *>(&buf_))(Fn_t *)(owned.release());
-            fn_ = [](Act act, void *p) {
-                Fn_t *obj = *static_cast<Fn_t **>(p);
-                if (act == Act::RunDestroy)
-                    (*obj)();
-                std::default_delete<Fn_t>{}(obj);
-            };
-            heap_ = true;
-        }
+        static_assert(fitsInline<Fn_t>,
+                      "capture exceeds the OneShotFunction budget: at most "
+                      "Bytes in size, max_align_t in alignment, and a "
+                      "nothrow move");
+        ::new (static_cast<void *>(&buf_)) Fn_t(std::forward<F>(f));
+        fn_ = [](Act act, void *p) {
+            Fn_t *obj = static_cast<Fn_t *>(p);
+            if (act == Act::RunDestroy)
+                (*obj)();
+            obj->~Fn_t();
+        };
     }
 
     /**
@@ -327,7 +289,6 @@ class OneShotFunction
   private:
     alignas(std::max_align_t) unsigned char buf_[Bytes];
     Fn fn_ = nullptr;
-    bool heap_ = false;
 };
 
 template <typename Signature>

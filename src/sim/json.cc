@@ -196,6 +196,103 @@ Cursor::atLineEnd()
 }
 
 bool
+Member::token(std::string &out)
+{
+    read_ = true;
+    if (c_.peek('"')) {
+        c_.err = "key '" + key_ + "' wants an unquoted value";
+        return false;
+    }
+    return c_.parseScalarToken(out);
+}
+
+bool
+Member::str(std::string &out)
+{
+    read_ = true;
+    if (!c_.peek('"')) {
+        c_.err = "key '" + key_ + "' wants a string value";
+        return false;
+    }
+    return c_.parseString(out);
+}
+
+bool
+Member::strOrToken(std::string &out)
+{
+    read_ = true;
+    return c_.peek('"') ? c_.parseString(out) : c_.parseScalarToken(out);
+}
+
+bool
+Member::u32(unsigned &out)
+{
+    std::string tok;
+    return token(tok) && tokenToU32(tok, out, c_.err);
+}
+
+bool
+Member::u64(std::uint64_t &out)
+{
+    std::string tok;
+    return token(tok) && tokenToU64(tok, out, c_.err);
+}
+
+bool
+Member::f64(double &out)
+{
+    std::string tok;
+    return token(tok) && tokenToDouble(tok, out, c_.err);
+}
+
+bool
+Member::boolean(bool &out)
+{
+    std::string tok;
+    if (!token(tok))
+        return false;
+    if (tok != "true" && tok != "false") {
+        c_.err = "bad boolean '" + tok + "'";
+        return false;
+    }
+    out = tok == "true";
+    return true;
+}
+
+bool
+Member::skip()
+{
+    read_ = true;
+    return c_.skipValue();
+}
+
+bool
+readObject(const std::string &line, std::string &err,
+           FunctionRef<bool(Member &)> visit)
+{
+    Cursor c{line, 0, err};
+    if (!c.expect('{'))
+        return false;
+    if (c.peek('}')) {
+        ++c.i;
+    } else {
+        Member m(c);
+        while (true) {
+            m.read_ = false;
+            if (!c.parseString(m.key_) || !c.expect(':') || !visit(m) ||
+                (!m.read_ && !m.skip()))
+                return false;
+            if (!c.peek(','))
+                break;
+            ++c.i;
+        }
+        if (!c.expect('}'))
+            return false;
+    }
+    return c.atLineEnd();
+}
+
+bool
 tokenToU64(const std::string &tok, std::uint64_t &out, std::string &err)
 {
     if (!parseDecimal(tok, out)) {
@@ -224,20 +321,6 @@ tokenToDouble(const std::string &tok, double &out, std::string &err)
     out = std::strtod(tok.c_str(), &end);
     if (end == nullptr || *end != '\0' || end == tok.c_str()) {
         err = "bad number '" + tok + "'";
-        return false;
-    }
-    return true;
-}
-
-bool
-tokenToBool(const std::string &tok, bool &out, std::string &err)
-{
-    if (tok == "true") {
-        out = true;
-    } else if (tok == "false") {
-        out = false;
-    } else {
-        err = "bad boolean '" + tok + "'";
         return false;
     }
     return true;

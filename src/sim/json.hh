@@ -1,8 +1,12 @@
 /**
  * @file
  * The minimal JSON-lines reading layer shared by every duet_sim wire
- * format: the SweepRow result rows (sim/sweep.hh) and the scenario
- * service's request/response objects (service/scenario_service.hh).
+ * format: the SweepRow result rows (sim/sweep.hh), the scenario
+ * service's request/response objects (service/scenario_service.hh) and
+ * the `--serve` control lines (service/serve.cc). All of them go
+ * through one object walker, readObject(): it owns the braces, the
+ * member loop, the commas and the trailing-garbage check, and each
+ * format is a visitor mapping keys to fields.
  *
  * This is deliberately not a general JSON library — it reads exactly
  * the one-object-per-line dialect jsonQuote()/writeJsonLine() emit
@@ -16,6 +20,8 @@
 
 #include <cstdint>
 #include <string>
+
+#include "sim/inline_function.hh"
 
 namespace duet
 {
@@ -55,12 +61,53 @@ struct Cursor
     bool atLineEnd();
 };
 
+/**
+ * One member of the object readObject() is walking: its key, and typed
+ * readers that consume its value. A reader whose value has the wrong
+ * shape fails with "key 'K' wants a string value" (or "... wants an
+ * unquoted value"); a number out of range fails too. A member the
+ * visitor leaves unread is skipped, whatever its value's shape.
+ */
+class Member
+{
+  public:
+    const std::string &key() const { return key_; }
+
+    bool str(std::string &out);
+    /** A quoted string or a bare token, kept verbatim (ids). */
+    bool strOrToken(std::string &out);
+    bool u32(unsigned &out);
+    bool u64(std::uint64_t &out);
+    bool f64(double &out);
+    bool boolean(bool &out);
+    bool skip();
+
+  private:
+    friend bool readObject(const std::string &, std::string &,
+                           FunctionRef<bool(Member &)>);
+
+    explicit Member(Cursor &c) : c_(c) {}
+    bool token(std::string &out);
+
+    Cursor &c_;
+    std::string key_;
+    bool read_ = false;
+};
+
+/**
+ * Walk the one JSON object on @p line, handing each member to @p visit
+ * in order. False (with @p err filled) when the line is not exactly one
+ * object, when a reader fails, or when @p visit returns false — a
+ * visitor that rejects a member sets @p err itself.
+ */
+bool readObject(const std::string &line, std::string &err,
+                FunctionRef<bool(Member &)> visit);
+
 /** Strict decimal token conversions, with one-line diagnostics. */
 bool tokenToU64(const std::string &tok, std::uint64_t &out,
                 std::string &err);
 bool tokenToU32(const std::string &tok, unsigned &out, std::string &err);
 bool tokenToDouble(const std::string &tok, double &out, std::string &err);
-bool tokenToBool(const std::string &tok, bool &out, std::string &err);
 
 } // namespace json
 } // namespace duet

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
@@ -513,166 +514,65 @@ bool
 parseSweepRow(const std::string &json_line, SweepRow &row, std::string &err)
 {
     row = SweepRow{};
-    json::Cursor c{json_line, 0, err};
-    if (!c.expect('{'))
-        return false;
-
     // Required keys: everything writeJsonLine() has always emitted.
     // runtime_ns is redundant (runtime_ticks / kTicksPerNs) and the
     // derived columns are recomputed by --derive, so those are
     // optional; unknown keys are skipped for forward compatibility.
-    bool sawWorkload = false, sawApp = false, sawMode = false;
-    bool sawCores = false, sawHubs = false, sawSize = false;
-    bool sawSeed = false, sawRuntime = false, sawCorrect = false;
-
-    c.skipWs();
-    if (c.i < json_line.size() && json_line[c.i] == '}') {
-        ++c.i;
-    } else {
-        while (true) {
-            std::string key;
-            if (!c.parseString(key))
-                return false;
-            if (!c.expect(':'))
-                return false;
-            // Keys this reader does not assign (runtime_ns, anything a
-            // future writer adds — whatever the value's shape) are
-            // skipped wholesale for forward compatibility.
-            const bool known =
-                key == "workload" || key == "app" || key == "mode" ||
-                key == "error" || key == "cores" || key == "mem_hubs" ||
-                key == "size" || key == "seed" || key == "l2_kib" ||
-                key == "l3_kib" || key == "lat_noc" ||
-                key == "lat_fast" || key == "lat_slow" ||
-                key == "lat_cdc" ||
-                key == "runtime_ticks" || key == "speedup" ||
-                key == "area_mm2" || key == "adp_norm" ||
-                key == "correct";
-            if (!known) {
-                if (!c.skipValue())
-                    return false;
-                c.skipWs();
-                if (c.i < json_line.size() && json_line[c.i] == ',') {
-                    ++c.i;
-                    continue;
-                }
-                if (!c.expect('}'))
-                    return false;
-                break;
-            }
-            c.skipWs();
-            const bool isString =
-                c.i < json_line.size() && json_line[c.i] == '"';
-            std::string sval, tok;
-            if (isString) {
-                if (!c.parseString(sval))
-                    return false;
-            } else if (!c.parseScalarToken(tok)) {
-                return false;
-            }
-            auto want_string = [&](const char *k) {
-                if (!isString)
-                    err = std::string("key '") + k +
-                          "' wants a string value";
-                return isString;
-            };
-            auto want_scalar = [&](const char *k) {
-                if (isString)
-                    err = std::string("key '") + k +
-                          "' wants an unquoted value";
-                return !isString;
-            };
-            bool ok = true;
-            if (key == "workload") {
-                ok = want_string("workload");
-                row.workload = sval;
-                sawWorkload = true;
-            } else if (key == "app") {
-                ok = want_string("app");
-                row.app = sval;
-                sawApp = true;
-            } else if (key == "mode") {
-                ok = want_string("mode");
-                row.mode = sval;
-                sawMode = true;
-            } else if (key == "error") {
-                ok = want_string("error");
-                row.error = sval;
-            } else if (key == "cores") {
-                ok = want_scalar("cores") &&
-                     json::tokenToU32(tok, row.cores, err);
-                sawCores = true;
-            } else if (key == "mem_hubs") {
-                ok = want_scalar("mem_hubs") &&
-                     json::tokenToU32(tok, row.memHubs, err);
-                sawHubs = true;
-            } else if (key == "size") {
-                ok = want_scalar("size") &&
-                     json::tokenToU32(tok, row.size, err);
-                sawSize = true;
-            } else if (key == "seed") {
-                ok = want_scalar("seed") &&
-                     json::tokenToU64(tok, row.seed, err);
-                sawSeed = true;
-            } else if (key == "l2_kib") {
-                ok = want_scalar("l2_kib") &&
-                     json::tokenToU32(tok, row.l2KiB, err);
-            } else if (key == "l3_kib") {
-                ok = want_scalar("l3_kib") &&
-                     json::tokenToU32(tok, row.l3KiB, err);
-            } else if (key == "lat_noc") {
-                ok = want_scalar("lat_noc") &&
-                     json::tokenToU64(tok, row.latNoc, err);
-                row.hasLat = true;
-            } else if (key == "lat_fast") {
-                ok = want_scalar("lat_fast") &&
-                     json::tokenToU64(tok, row.latFast, err);
-                row.hasLat = true;
-            } else if (key == "lat_slow") {
-                ok = want_scalar("lat_slow") &&
-                     json::tokenToU64(tok, row.latSlow, err);
-                row.hasLat = true;
-            } else if (key == "lat_cdc") {
-                ok = want_scalar("lat_cdc") &&
-                     json::tokenToU64(tok, row.latCdc, err);
-                row.hasLat = true;
-            } else if (key == "runtime_ticks") {
-                ok = want_scalar("runtime_ticks") &&
-                     json::tokenToU64(tok, row.runtime, err);
-                sawRuntime = true;
-            } else if (key == "speedup") {
-                ok = want_scalar("speedup") &&
-                     json::tokenToDouble(tok, row.speedup, err);
-            } else if (key == "area_mm2") {
-                ok = want_scalar("area_mm2") &&
-                     json::tokenToDouble(tok, row.areaMm2, err);
-            } else if (key == "adp_norm") {
-                ok = want_scalar("adp_norm") &&
-                     json::tokenToDouble(tok, row.adpNorm, err);
-            } else if (key == "correct") {
-                ok = want_scalar("correct") &&
-                     json::tokenToBool(tok, row.correct, err);
-                sawCorrect = true;
-            }
-            if (!ok)
-                return false;
-            c.skipWs();
-            if (c.i < json_line.size() && json_line[c.i] == ',') {
-                ++c.i;
-                continue;
-            }
-            if (!c.expect('}'))
-                return false;
-            break;
-        }
-    }
-    c.skipWs();
-    if (c.i != json_line.size()) {
-        err = "trailing garbage after the row object";
+    static const char *const kRequired[] = {
+        "workload", "app",  "mode",          "cores",  "mem_hubs",
+        "size",     "seed", "runtime_ticks", "correct"};
+    unsigned seen = 0; // one bit per kRequired entry
+    auto visit = [&](json::Member &m) {
+        const std::string &k = m.key();
+        for (unsigned b = 0; b < std::size(kRequired); ++b)
+            if (k == kRequired[b])
+                seen |= 1u << b;
+        if (k == "lat_noc" || k == "lat_fast" || k == "lat_slow" ||
+            k == "lat_cdc")
+            row.hasLat = true;
+        if (k == "workload")
+            return m.str(row.workload);
+        if (k == "app")
+            return m.str(row.app);
+        if (k == "mode")
+            return m.str(row.mode);
+        if (k == "error")
+            return m.str(row.error);
+        if (k == "cores")
+            return m.u32(row.cores);
+        if (k == "mem_hubs")
+            return m.u32(row.memHubs);
+        if (k == "size")
+            return m.u32(row.size);
+        if (k == "seed")
+            return m.u64(row.seed);
+        if (k == "l2_kib")
+            return m.u32(row.l2KiB);
+        if (k == "l3_kib")
+            return m.u32(row.l3KiB);
+        if (k == "lat_noc")
+            return m.u64(row.latNoc);
+        if (k == "lat_fast")
+            return m.u64(row.latFast);
+        if (k == "lat_slow")
+            return m.u64(row.latSlow);
+        if (k == "lat_cdc")
+            return m.u64(row.latCdc);
+        if (k == "runtime_ticks")
+            return m.u64(row.runtime);
+        if (k == "speedup")
+            return m.f64(row.speedup);
+        if (k == "area_mm2")
+            return m.f64(row.areaMm2);
+        if (k == "adp_norm")
+            return m.f64(row.adpNorm);
+        if (k == "correct")
+            return m.boolean(row.correct);
+        return true;
+    };
+    if (!json::readObject(json_line, err, visit))
         return false;
-    }
-    if (!(sawWorkload && sawApp && sawMode && sawCores && sawHubs &&
-          sawSize && sawSeed && sawRuntime && sawCorrect)) {
+    if (seen != (1u << std::size(kRequired)) - 1) {
         err = "row object is missing required keys";
         return false;
     }

@@ -2,20 +2,25 @@
  * @file
  * Deterministic fuzz coverage for the hand-rolled JSON-lines reader
  * (sim/json.cc) — the wire format between sweep workers, the serve
- * front-end and --derive. Run under the DUET_SANITIZE presets this
- * doubles as a UBSan/ASan sweep of the parser: every probe must either
- * parse or fail with a diagnostic, never crash, overflow or read out
- * of bounds.
+ * front-end and --derive — down to the strings and numbers, and
+ * through every parser built on its one object walker. Run under the
+ * DUET_SANITIZE presets this doubles as a UBSan/ASan sweep of the
+ * parser: every probe must either parse or fail with a diagnostic,
+ * never crash, overflow or read out of bounds.
  *
  * All "randomness" comes from a fixed-seed SplitMix64, so failures
  * reproduce bit-for-bit on any host.
  */
 
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "service/scenario_service.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
 
@@ -256,6 +261,209 @@ TEST(JsonFuzz, RandomBracketSoupNeverCrashes)
         cur.skipValue(); // either verdict; must terminate sanely
     }
     SUCCEED();
+}
+
+
+// ---------------------------------------------------------------------
+// The object walker behind every wire format: valid request, row and
+// response lines, mutated, through all three parsers. A rejected line
+// carries a diagnostic; an accepted request or row survives its writer.
+// ---------------------------------------------------------------------
+
+std::string
+randomText(Rng &rng)
+{
+    std::string s;
+    const std::size_t len = rng.bounded(12);
+    for (std::size_t i = 0; i < len; ++i)
+        s += static_cast<char>(rng.bounded(256));
+    return s;
+}
+
+/** 0 half the time (the writers omit most zero fields), else random. */
+unsigned
+maybeU32(Rng &rng)
+{
+    return rng.bounded(2) == 0 ? 0u : static_cast<unsigned>(rng.next());
+}
+
+SweepRow
+randomRow(Rng &rng)
+{
+    SweepRow r;
+    r.workload = randomText(rng);
+    r.app = randomText(rng);
+    r.mode = randomText(rng);
+    r.cores = static_cast<unsigned>(rng.bounded(17));
+    r.memHubs = static_cast<unsigned>(rng.bounded(5));
+    r.size = maybeU32(rng);
+    r.seed = rng.next();
+    r.l2KiB = maybeU32(rng);
+    r.l3KiB = maybeU32(rng);
+    r.hasLat = rng.bounded(2) == 0;
+    if (r.hasLat) {
+        r.latNoc = rng.next();
+        r.latFast = rng.next();
+        r.latSlow = rng.next();
+        r.latCdc = rng.next();
+    }
+    r.runtime = rng.next();
+    r.speedup = static_cast<double>(rng.bounded(1000000000)) / 1e4;
+    r.areaMm2 = static_cast<double>(rng.bounded(1000000)) / 1e4;
+    r.adpNorm = static_cast<double>(rng.bounded(1000000)) / 1e4;
+    r.correct = rng.bounded(2) == 0;
+    if (rng.bounded(2) == 0)
+        r.error = randomText(rng);
+    return r;
+}
+
+std::string
+randomWireLine(Rng &rng)
+{
+    std::ostringstream os;
+    switch (rng.bounded(3)) {
+      case 0: {
+        ScenarioRequest q;
+        q.id = randomText(rng);
+        q.workload = randomText(rng);
+        q.mode = randomText(rng);
+        q.cores = maybeU32(rng);
+        q.size = maybeU32(rng);
+        q.seed = rng.bounded(2) == 0 ? 0 : rng.next();
+        q.l2KiB = maybeU32(rng);
+        q.l3KiB = maybeU32(rng);
+        q.l2Ways = maybeU32(rng);
+        q.l3Ways = maybeU32(rng);
+        q.spmKiB = maybeU32(rng);
+        q.cpuFreqMhz = rng.bounded(2) == 0 ? 0 : rng.next();
+        q.fpgaFreqMhz = rng.bounded(2) == 0 ? 0 : rng.next();
+        q.maxTicksUs = rng.bounded(2) == 0 ? 0 : rng.next();
+        writeScenarioRequest(os, q);
+        break;
+      }
+      case 1:
+        writeJsonLine(os, randomRow(rng));
+        break;
+      default: {
+        ScenarioResponse resp;
+        resp.id = randomText(rng);
+        resp.status = static_cast<ResponseStatus>(rng.bounded(3));
+        resp.row = randomRow(rng);
+        writeScenarioResponse(os, resp);
+      }
+    }
+    std::string line = os.str();
+    line.pop_back(); // the newline; readers get lines without it
+    return line;
+}
+
+/** One mutation: truncate, delete or duplicate a byte, overwrite a
+ *  byte with JSON structure, or splice in an unknown or a duplicated
+ *  member at a member boundary. */
+void
+mutate(std::string &line, Rng &rng)
+{
+    static const char kStructure[] = "{}[]\":,\\";
+    const std::size_t at = line.empty() ? 0 : rng.bounded(line.size());
+    switch (rng.bounded(5)) {
+      case 0:
+        line.resize(rng.bounded(line.size() + 1));
+        return;
+      case 1:
+        if (!line.empty())
+            line.erase(at, 1);
+        return;
+      case 2:
+        if (!line.empty())
+            line.insert(at, 1, line[at]);
+        return;
+      case 3:
+        if (!line.empty())
+            line[at] = kStructure[rng.bounded(sizeof(kStructure) - 1)];
+        return;
+      default:
+        break;
+    }
+    // Boundaries: just past the '{', and just past each ", " that
+    // precedes a key.
+    std::vector<std::size_t> cuts;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        if (line[i] == '{')
+            cuts.push_back(i + 1);
+        else if (line.compare(i, 3, ", \"") == 0)
+            cuts.push_back(i + 2);
+    }
+    if (cuts.empty())
+        return;
+    std::string member = "\"zz_unknown\": [1, {\"k\": \"}\"}], ";
+    if (cuts.size() > 1 && rng.bounded(2) == 0) {
+        const std::size_t k = rng.bounded(cuts.size() - 1);
+        member = line.substr(cuts[k], cuts[k + 1] - cuts[k]);
+    }
+    line.insert(cuts[rng.bounded(cuts.size())], member);
+}
+
+auto
+requestFields(const ScenarioRequest &q)
+{
+    return std::tie(q.id, q.workload, q.mode, q.cores, q.size, q.seed,
+                    q.l2KiB, q.l3KiB, q.l2Ways, q.l3Ways, q.spmKiB,
+                    q.cpuFreqMhz, q.fpgaFreqMhz, q.maxTicksUs);
+}
+
+TEST(JsonFuzz, MutatedWireLinesParseOrFailWithADiagnostic)
+{
+    Rng rng(0x0b1ec7ull);
+    std::size_t requests = 0, rows = 0, responses = 0;
+    for (int probe = 0; probe < 20000; ++probe) {
+        std::string line = randomWireLine(rng);
+        const int mutations = 1 + static_cast<int>(rng.bounded(3));
+        for (int m = 0; m < mutations; ++m)
+            mutate(line, rng);
+
+        std::string err;
+        ScenarioRequest req;
+        if (parseScenarioRequest(line, req, err)) {
+            ++requests;
+            std::ostringstream os;
+            writeScenarioRequest(os, req);
+            ScenarioRequest back;
+            ASSERT_TRUE(parseScenarioRequest(os.str(), back, err))
+                << err << "\nprobe " << probe << ": " << line;
+            EXPECT_TRUE(requestFields(back) == requestFields(req))
+                << "probe " << probe << ": " << line;
+        } else {
+            EXPECT_FALSE(err.empty()) << "probe " << probe << ": " << line;
+        }
+
+        err.clear();
+        SweepRow row;
+        if (parseSweepRow(line, row, err)) {
+            ++rows;
+            std::ostringstream once, twice;
+            writeJsonLine(once, row);
+            SweepRow back;
+            ASSERT_TRUE(parseSweepRow(once.str(), back, err))
+                << err << "\nprobe " << probe << ": " << line;
+            writeJsonLine(twice, back);
+            EXPECT_EQ(twice.str(), once.str())
+                << "probe " << probe << ": " << line;
+        } else {
+            EXPECT_FALSE(err.empty()) << "probe " << probe << ": " << line;
+        }
+
+        err.clear();
+        ScenarioResponse resp;
+        if (parseScenarioResponse(line, resp, err))
+            ++responses;
+        else
+            EXPECT_FALSE(err.empty()) << "probe " << probe << ": " << line;
+    }
+    // Splices of unknown and duplicated keys keep some lines valid, so
+    // the accept paths above are exercised, not just the rejections.
+    EXPECT_GT(requests, 0u);
+    EXPECT_GT(rows, 0u);
+    EXPECT_GT(responses, 0u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <sstream>
@@ -483,34 +484,36 @@ TEST(Service, HungScenarioTimesOutAndServiceKeepsServing)
 
 // ------------------------- serve protocol core ------------------------
 
-/** Feed @p input through serveStream over pipes and return the
- *  response lines. Requests must fit the pipe buffer (they do: these
- *  are protocol tests, not throughput tests). */
+/** Feed @p input through serveStream and return the response lines.
+ *  Both streams are unlinked temporary files, so neither the requests
+ *  nor the responses are bounded by a pipe buffer. */
 std::vector<std::string>
 serveRoundTrip(const std::string &input, ServeSummary &sum,
                const ScenarioService::Options &opts = {})
 {
-    int in_pipe[2], out_pipe[2];
-    EXPECT_EQ(::pipe(in_pipe), 0);
-    EXPECT_EQ(::pipe(out_pipe), 0);
-    EXPECT_EQ(::write(in_pipe[1], input.data(), input.size()),
-              static_cast<ssize_t>(input.size()));
-    ::close(in_pipe[1]); // EOF after the canned requests
+    std::FILE *in = std::tmpfile();
+    std::FILE *out = std::tmpfile();
+    EXPECT_NE(in, nullptr);
+    EXPECT_NE(out, nullptr);
+    if (in == nullptr || out == nullptr)
+        return {};
+    EXPECT_EQ(std::fwrite(input.data(), 1, input.size(), in), input.size());
+    std::rewind(in); // flushes; serveStream reads the fd from offset 0
 
     SystemConfig base;
-    sum = serveStream(in_pipe[0], out_pipe[1], base, opts);
-    ::close(in_pipe[0]);
-    ::close(out_pipe[1]);
+    sum = serveStream(::fileno(in), ::fileno(out), base, opts);
 
-    std::string out;
+    std::rewind(out);
+    std::string text;
     char chunk[65536];
-    ssize_t n;
-    while ((n = ::read(out_pipe[0], chunk, sizeof(chunk))) > 0)
-        out.append(chunk, static_cast<std::size_t>(n));
-    ::close(out_pipe[0]);
+    std::size_t n;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), out)) > 0)
+        text.append(chunk, n);
+    std::fclose(in);
+    std::fclose(out);
 
     std::vector<std::string> lines;
-    std::istringstream is(out);
+    std::istringstream is(text);
     std::string line;
     while (std::getline(is, line))
         if (!line.empty())
@@ -716,6 +719,89 @@ TEST(Serve, UnknownControlTypeIsRejectedNotFatal)
     EXPECT_NE(got["1"].row.error.find("control"), std::string::npos)
         << got["1"].row.error;
     EXPECT_EQ(got["g"].status, ResponseStatus::Ok);
+}
+
+TEST(Serve, RequestWhoseIdIsTypeIsServed)
+{
+    // Ids are opaque: an id that happens to read "type" is still a
+    // scenario request, not a control line.
+    ServeSummary sum;
+    ScenarioService::Options opts;
+    opts.jobs = 1;
+    const std::vector<std::string> lines = serveRoundTrip(
+        "{\"id\": \"type\", \"workload\": \"tangent\", \"size\": 4}\n",
+        sum, opts);
+    ASSERT_EQ(lines.size(), 1u);
+    ScenarioResponse resp;
+    std::string err;
+    ASSERT_TRUE(parseScenarioResponse(lines[0], resp, err)) << err;
+    EXPECT_EQ(resp.id, "type");
+    EXPECT_EQ(resp.status, ResponseStatus::Ok) << resp.row.error;
+    EXPECT_EQ(sum.served, 1u);
+    EXPECT_EQ(sum.failed, 0u);
+}
+
+TEST(Serve, ControlLineIsClassifiedByItsTypeKey)
+{
+    // The control type is the value of the top-level "type" key, not
+    // any "stats" text elsewhere on the line; extra keys are ignored.
+    ServeSummary sum;
+    ScenarioService::Options opts;
+    opts.jobs = 1;
+    const std::vector<std::string> lines = serveRoundTrip(
+        "{\"type\": \"flush\", \"note\": \"stats\"}\n"
+        "{\"note\": \"x\", \"type\": \"stats\"}\n",
+        sum, opts);
+    ASSERT_EQ(lines.size(), 2u);
+    ScenarioResponse resp;
+    std::string err;
+    ASSERT_TRUE(parseScenarioResponse(lines[0], resp, err))
+        << err << "\n" << lines[0];
+    EXPECT_EQ(resp.id, "1");
+    EXPECT_EQ(resp.status, ResponseStatus::Invalid);
+    EXPECT_NE(resp.row.error.find("control"), std::string::npos)
+        << resp.row.error;
+    EXPECT_EQ(lines[1].rfind("{\"type\": \"stats\"", 0), 0u) << lines[1];
+    EXPECT_EQ(sum.served, 0u);
+    EXPECT_EQ(sum.failed, 1u);
+}
+
+TEST(Serve, OverlongLineIsAnsweredOnceAndDiscardedThroughItsNewline)
+{
+    // 2 MiB without a newline, then a valid request: the long line is
+    // answered invalid under its line number and the next line is
+    // served. The long line holds a newline-free request prefix, so
+    // serving any of it would show up as a second response.
+    ScenarioRequest good;
+    good.id = "after";
+    good.workload = "popcount";
+    good.size = 4;
+    std::string input = "{\"id\": \"long\", \"workload\": \"";
+    input.append(2 * kMaxRequestLineBytes, 'x');
+    input += "\"}\n";
+    input += requestLine(good);
+
+    ServeSummary sum;
+    ScenarioService::Options opts;
+    opts.jobs = 1;
+    const std::vector<std::string> lines =
+        serveRoundTrip(input, sum, opts);
+    ASSERT_EQ(lines.size(), 2u);
+    std::map<std::string, ScenarioResponse> got;
+    for (const std::string &l : lines) {
+        ScenarioResponse resp;
+        std::string err;
+        ASSERT_TRUE(parseScenarioResponse(l, resp, err)) << err;
+        got[resp.id] = resp;
+    }
+    ASSERT_EQ(got.count("1"), 1u);
+    EXPECT_EQ(got["1"].status, ResponseStatus::Invalid);
+    EXPECT_NE(got["1"].row.error.find("longer than"), std::string::npos)
+        << got["1"].row.error;
+    ASSERT_EQ(got.count("after"), 1u);
+    EXPECT_EQ(got["after"].status, ResponseStatus::Ok);
+    EXPECT_EQ(sum.served, 1u);
+    EXPECT_EQ(sum.failed, 1u);
 }
 
 TEST(Serve, ServedRowsAreByteIdenticalToTheEquivalentSweep)

@@ -91,9 +91,9 @@ from pathlib import Path
 MEMCPY_WINDOW = 8
 
 # Files allowed to fork()/new: the resident-worker executor owns process
-# lifecycles (R1); InlineFunction's oversized-capture fallback is where
-# manual new/delete lives by design (R3). Everything else stays RAII-only
-# and allocates *through* these files.
+# lifecycles (R1); InlineFunction and OneShotFunction construct captures
+# in their inline buffers with placement new (R3). Everything else stays
+# RAII-only and allocates *through* these files.
 FORK_ALLOWLIST = {"src/sim/executor.cc"}
 NEW_ALLOWLIST = {"src/sim/inline_function.hh"}
 
